@@ -10,7 +10,7 @@
      E4  route-leak detection across filter configurations (§4.2)
      A1  ablation: selective vs whole-message symbolization (§3.2)
      A2  ablation: exploration search strategies
-     P1  parallel exploration: worker scaling and solver-cache hit rate
+     P1  seed-level parallel exploration: orchestrator worker scaling
      P2  parallel cross-domain probing: fan-out scaling and verdict-cache hit rate
      P3  probe RPC over the simulated wire: throughput vs link latency,
          retry/timeout behavior under slow links and partitions
@@ -476,14 +476,13 @@ let experiment_a2 () =
     [ Strategy.Dfs; Strategy.Generational; Strategy.Cover_new; Strategy.Random_negation 7L ]
 
 (* ------------------------------------------------------------------ *)
-(* P1: parallel exploration scaling                                    *)
+(* P1: seed-level parallel exploration                                *)
 (* ------------------------------------------------------------------ *)
 
 let experiment_p1 () =
-  section "P1" "parallel exploration: worker scaling and solver-cache effectiveness";
+  section "P1" "seed-level parallel exploration: orchestrator worker scaling";
   row "machine offers %d domain(s); wall-clock speedups need more than one core\n"
     (Dice_exec.Pool.available_parallelism ());
-  let config = { Explorer.default_config with Explorer.max_runs = 128 } in
   let time_median f =
     let s = Dice_util.Stats.create () in
     for _ = 1 to 3 do
@@ -493,39 +492,6 @@ let experiment_p1 () =
     done;
     Dice_util.Stats.median s
   in
-  let base = time_median (fun () -> Explorer.explore ~config filter_program) in
-  row "%-10s %-12s %-8s %-10s %-10s %s\n" "workers" "wall (ms)" "speedup" "paths"
-    "coverage" "qcache hit rate";
-  row "%-10s %-12.2f %-8s %-10s %-10s %s\n" "seq" (1000.0 *. base) "1.00x" "-" "-" "-";
-  List.iter
-    (fun jobs ->
-      let qcache = Dice_exec.Qcache.create () in
-      let report = ref None in
-      let t =
-        time_median (fun () ->
-            report :=
-              Some (Dice_exec.Explorer.run_parallel ~config ~qcache ~jobs filter_program))
-      in
-      let r = Option.get !report in
-      row "%-10d %-12.2f %-8s %-10d %-10s %.1f%%\n" jobs (1000.0 *. t)
-        (Printf.sprintf "%.2fx" (base /. t))
-        r.Explorer.distinct_paths
-        (Printf.sprintf "%.1f%%" (100.0 *. Explorer.coverage_ratio r))
-        (100.0 *. Dice_exec.Qcache.hit_rate qcache))
-    [ 1; 2; 4 ];
-  (* cache sharing across explorations: the second exploration of the same
-     program answers its solver queries from the first one's entries *)
-  let shared = Dice_exec.Qcache.create () in
-  ignore (Dice_exec.Explorer.run_parallel ~config ~qcache:shared ~jobs:2 filter_program);
-  let cold_misses = Dice_exec.Qcache.misses shared in
-  ignore (Dice_exec.Explorer.run_parallel ~config ~qcache:shared ~jobs:2 filter_program);
-  row
-    "shared cache, 2nd exploration: %d hits / %d misses overall (%.1f%% hit rate; cold \
-     pass had %d misses)\n"
-    (Dice_exec.Qcache.hits shared)
-    (Dice_exec.Qcache.misses shared)
-    (100.0 *. Dice_exec.Qcache.hit_rate shared)
-    cold_misses;
   (* seed-level parallelism in the orchestrator: one domain per seed over
      the same live checkpoint *)
   let router, _, _ = loaded_provider ~n:(min 2_000 table_prefixes) () in

@@ -54,8 +54,8 @@ let jobs_arg =
     & opt int (Dice_exec.Pool.available_parallelism ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel exploration (default: what the \
-           machine offers). 1 disables parallelism.")
+          "Worker domains for seed, probe and fleet parallelism (default: \
+           what the machine offers). 1 disables parallelism.")
 
 let agents_arg =
   Arg.(
@@ -896,7 +896,7 @@ let replay_divergence_cmd =
 
 (* ---------------- explore-filter ---------------- *)
 
-let explore_filter file runs jobs incremental =
+let explore_filter file runs incremental =
   let config = Config_parser.parse_file file in
   match config.Config_types.filters with
   | [] ->
@@ -926,18 +926,8 @@ let explore_filter file runs jobs incremental =
         incremental;
       }
     in
-    let qcache = Dice_exec.Qcache.create () in
-    let report =
-      if jobs <= 1 then Dice_concolic.Explorer.explore ~config program
-      else Dice_exec.Explorer.run_parallel ~config ~qcache ~jobs program
-    in
+    let report = Dice_concolic.Explorer.explore ~config program in
     Format.printf "%a@." Dice_concolic.Explorer.pp_report report;
-    if jobs > 1 then
-      Format.printf "solver cache: %d hits, %d misses, %d prefix hits (%.1f%% hit rate)@."
-        (Dice_exec.Qcache.hits qcache)
-        (Dice_exec.Qcache.misses qcache)
-        (Dice_exec.Qcache.prefix_hits qcache)
-        (100.0 *. Dice_exec.Qcache.hit_rate qcache);
     0
 
 let explore_filter_cmd =
@@ -958,7 +948,7 @@ let explore_filter_cmd =
   Cmd.v
     (Cmd.info "explore-filter"
        ~doc:"Concolically explore the first filter of a configuration file.")
-    Term.(const explore_filter $ file $ runs_arg $ jobs_arg $ incremental)
+    Term.(const explore_filter $ file $ runs_arg $ incremental)
 
 (* ---------------- overhead ---------------- *)
 

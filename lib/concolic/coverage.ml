@@ -1,6 +1,6 @@
-(* Coverage tables are shared by every run of an exploration — including
-   runs executing concurrently on separate domains — so all access is
-   serialized on a per-table mutex. *)
+(* Coverage tables are shared by every run of an exploration, and a
+   report's table may be read from another domain than the worker that
+   explored it, so all access is serialized on a per-table mutex. *)
 
 type t = { lock : Mutex.t; tbl : (int * bool, int) Hashtbl.t }
 
@@ -10,17 +10,16 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let add_hits tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some c -> Hashtbl.replace tbl key (c + n)
-  | None -> Hashtbl.add tbl key n
-
 let record t site dir =
   let key = (Path.Site.id site, dir) in
   locked t (fun () ->
-      let fresh = not (Hashtbl.mem t.tbl key) in
-      add_hits t.tbl key 1;
-      fresh)
+      match Hashtbl.find_opt t.tbl key with
+      | Some c ->
+        Hashtbl.replace t.tbl key (c + 1);
+        false
+      | None ->
+        Hashtbl.add t.tbl key 1;
+        true)
 
 let covered t site dir = locked t (fun () -> Hashtbl.mem t.tbl (Path.Site.id site, dir))
 
@@ -39,20 +38,6 @@ let site_count t =
       Hashtbl.length sites)
 
 let direction_count t = locked t (fun () -> Hashtbl.length t.tbl)
-
-let merge_into ~dst t =
-  let pairs = locked t (fun () -> Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.tbl []) in
-  locked dst (fun () -> List.iter (fun (k, n) -> add_hits dst.tbl k n) pairs)
-
-let absorb ~into t =
-  let pairs = locked t (fun () -> Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.tbl []) in
-  locked into (fun () ->
-      List.fold_left
-        (fun fresh (k, n) ->
-          let was_fresh = not (Hashtbl.mem into.tbl k) in
-          add_hits into.tbl k n;
-          if was_fresh then fresh + 1 else fresh)
-        0 pairs)
 
 let snapshot t =
   locked t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])

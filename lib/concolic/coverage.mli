@@ -23,8 +23,8 @@ val fully_covered : t -> Path.Site.t -> bool
 
 val hits : t -> Path.Site.t -> bool -> int
 (** How many times [record] has seen the (site, direction) pair — 0 when
-    never covered. Merges and absorbs sum counts, so on a shared table this
-    is the global frequency across all runs. *)
+    never covered. On an exploration's table this is the frequency
+    across all of its runs. *)
 
 val hits_id : t -> int * bool -> int
 (** {!hits} keyed by raw (site id, direction) — the form path entries
@@ -35,13 +35,6 @@ val site_count : t -> int
 
 val direction_count : t -> int
 (** Number of (site, direction) pairs seen. *)
-
-val merge_into : dst:t -> t -> unit
-
-val absorb : into:t -> t -> int
-(** Like {!merge_into} but returns how many (site, direction) pairs were
-    new to [into] — the per-run "new directions" count the parallel
-    explorer credits to the run whose private table is absorbed. *)
 
 val snapshot : t -> (int * bool) list
 (** Covered (site id, direction) pairs, sorted. *)

@@ -1,7 +1,8 @@
 module Space = struct
   type t = {
     lock : Mutex.t;  (* one space is shared by every run of an exploration,
-                        including parallel runs on separate domains *)
+                        and its report may be read from another domain
+                        than the worker that explored it *)
     by_name : (string, Sym.var) Hashtbl.t;
     mutable rev_names : string list;
   }

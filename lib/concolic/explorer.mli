@@ -62,9 +62,8 @@ val attempt_key : Path.entry array -> int -> (int * bool) list
     the path prefix up to index [idx], with entry [idx]'s direction
     flipped. Structural, not hashed — two attempts have equal keys iff
     they request the same negated path, so distinct negations can never be
-    dropped by a key collision. Exposed for the parallel executor
-    ([Dice_exec]), whose shared dedup table must agree with the sequential
-    explorer on attempt identity. *)
+    dropped by a key collision. Exposed so tests can check that
+    identity. *)
 
 val coverage_ratio : report -> float
 (** Covered (site, direction) pairs over [2 * sites seen] — a progress

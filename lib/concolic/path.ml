@@ -1,8 +1,9 @@
 module Site = struct
   type t = { id : int; name : string }
 
-  (* The registry is process-global and parallel explorations intern sites
-     from several domains at once; every access goes through [lock]. *)
+  (* The registry is process-global and seed explorations running on
+     worker domains intern sites at once; every access goes through
+     [lock]. *)
   let lock = Mutex.create ()
   let registry : (string, t) Hashtbl.t = Hashtbl.create 64
   let next = ref 0

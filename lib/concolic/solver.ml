@@ -28,19 +28,6 @@ let stats_create () =
     first_violated_skips = 0;
   }
 
-let global_stats = stats_create ()
-
-let reset_stats () =
-  global_stats.calls <- 0;
-  global_stats.sat <- 0;
-  global_stats.unsat <- 0;
-  global_stats.gave_up <- 0;
-  global_stats.candidates_tried <- 0;
-  global_stats.candidates_deduped <- 0;
-  global_stats.prefix_reuses <- 0;
-  global_stats.simplifications <- 0;
-  global_stats.first_violated_skips <- 0
-
 let holds_all env cs = List.for_all (Path.constr_holds env) cs
 
 (* ------------------------------------------------------------------ *)
@@ -700,18 +687,14 @@ let solve_flat ~stats ~max_repairs ~env fprefix frest =
       repair max_repairs
   end
 
-let count_call stats =
+let solve ?(stats = stats_create ()) ?(max_repairs = 256) ~hint cs =
   stats.calls <- stats.calls + 1;
-  if stats != global_stats then global_stats.calls <- global_stats.calls + 1
-
-let solve ?(stats = global_stats) ?(max_repairs = 256) ~hint cs =
-  count_call stats;
   let env : Sym.env = Hashtbl.copy hint in
   solve_flat ~stats ~max_repairs ~env [] (List.concat_map flatten cs)
 
 module Inc = struct
-  let solve ?(stats = global_stats) ?(max_repairs = 256) ~parent ~prefix rest =
-    count_call stats;
+  let solve ?(stats = stats_create ()) ?(max_repairs = 256) ~parent ~prefix rest =
+    stats.calls <- stats.calls + 1;
     let env : Sym.env = Hashtbl.copy parent in
     solve_flat ~stats ~max_repairs ~env
       (List.concat_map flatten prefix)

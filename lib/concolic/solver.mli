@@ -50,16 +50,15 @@ type stats = {
 }
 
 val stats_create : unit -> stats
-val global_stats : stats
-(** Accumulated across all [solve] calls (reset with [reset_stats]). *)
-
-val reset_stats : unit -> unit
 
 val solve :
   ?stats:stats -> ?max_repairs:int -> hint:Sym.env -> Path.constr list -> outcome
 (** [solve ~hint cs] searches for an assignment satisfying all of [cs],
     starting from [hint] (unmentioned variables default to 0).
-    [max_repairs] bounds the repair iterations (default 256). The returned
+    [max_repairs] bounds the repair iterations (default 256). Counters
+    accumulate into [stats] (default: a fresh record the caller never
+    sees), so a record shared across domains is the caller's to
+    synchronise. The returned
     environment is fresh (callers may mutate it). *)
 
 val holds_all : Sym.env -> Path.constr list -> bool

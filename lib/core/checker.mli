@@ -29,7 +29,8 @@ type fault = {
 }
 
 val fault_key : fault -> string
-(** Deduplication key: checker + prefix + description. *)
+(** Key under which equal findings collapse: checker + prefix +
+    description. *)
 
 val pp_fault : Format.formatter -> fault -> unit
 

@@ -1,28 +1,26 @@
 let available_parallelism () = max 1 (Domain.recommended_domain_count ())
 
+(* [run ~jobs f] runs [f 0 .. f (jobs-1)], one domain each, and joins
+   them all before re-raising the first failure. *)
 let run ~jobs f =
-  if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
-  if jobs = 1 then f 0
-  else begin
-    let failures = Array.make jobs None in
-    let domains =
-      List.init jobs (fun w ->
-          Domain.spawn (fun () ->
-              try f w
-              with exn ->
-                (* captured in the worker, where the original trace still
-                   exists — [raise] after the join would rebuild it from
-                   the joining domain's (useless) stack *)
-                let bt = Printexc.get_raw_backtrace () in
-                failures.(w) <- Some (exn, bt)))
-    in
-    List.iter Domain.join domains;
-    Array.iter
-      (function
-        | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-        | None -> ())
-      failures
-  end
+  let failures = Array.make jobs None in
+  let domains =
+    List.init jobs (fun w ->
+        Domain.spawn (fun () ->
+            try f w
+            with exn ->
+              (* captured in the worker, where the original trace still
+                 exists — [raise] after the join would rebuild it from
+                 the joining domain's (useless) stack *)
+              let bt = Printexc.get_raw_backtrace () in
+              failures.(w) <- Some (exn, bt)))
+  in
+  List.iter Domain.join domains;
+  Array.iter
+    (function
+      | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+      | None -> ())
+    failures
 
 let map ~jobs f items =
   let arr = Array.of_list items in
@@ -46,5 +44,3 @@ let map ~jobs f items =
          | Some r -> r
          | None -> assert false (* every index was claimed and completed *))
   end
-
-let iter ~jobs f items = ignore (map ~jobs (fun x -> f x) items)

@@ -1,35 +1,22 @@
-(** A domain-based worker pool.
+(** A domain-based worker pool for batches of independent items.
 
-    OCaml 5 domains are heavyweight (one OS thread each), so the pool is
-    spawn–work–join: [run] starts [jobs] domains, each executes the worker
-    body to completion, and the call returns once every domain has joined.
-    Exploration workloads are long-lived relative to domain spawn cost
-    (milliseconds of solving per job), which makes this the right shape —
-    no need for a resident pool with work handoff. *)
+    Its callers hand it a list and take back the results in order: the
+    orchestrator's exploration seeds, a batch of cross-domain probes, a
+    fleet's wave of per-domain update batches. Each {!map} is
+    spawn–work–join: it starts its worker domains, they claim items until
+    none are left, and the call returns once every domain has joined. *)
 
 val available_parallelism : unit -> int
 (** What the runtime recommends for this machine
     ({!Domain.recommended_domain_count}), never below 1. The CLI default
     for [--jobs]. *)
 
-val run : jobs:int -> (int -> unit) -> unit
-(** [run ~jobs f] executes [f 0 .. f (jobs-1)] concurrently, one domain
-    each, and waits for all of them. [f] receives its worker index.
-    [jobs = 1] runs [f 0] on the calling domain (no spawn). If any worker
-    raises, the first exception (by worker index) is re-raised after all
-    workers have joined, with the worker's original backtrace attached.
-    @raise Invalid_argument if [jobs < 1]. *)
-
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] applies [f] to every item, distributing items
-    across [min jobs (List.length items)] workers, and returns the results
-    in input order. Items are claimed dynamically (an atomic cursor), so
-    uneven item costs balance across workers. [f] must be safe to call
-    from concurrent domains. Exceptions propagate as in {!run}. *)
-
-val iter : jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [map] for effects: apply [f] to every item across [jobs] workers and
-    wait for all of them — the shape of a fleet's drive wave, where each
-    item is one domain's batch of updates and results accumulate in the
-    items themselves. Same claiming, safety and exception rules as
-    {!map}. *)
+    across [min jobs (List.length items)] worker domains, and returns the
+    results in input order. Items are claimed dynamically (an atomic
+    cursor), so uneven item costs balance across workers. With one
+    worker, [f] runs on the calling domain without a spawn. [f] must be
+    safe to call from concurrent domains. If [f] raises, the first failure (by worker
+    index) is re-raised after all workers have joined, with the worker's
+    original backtrace attached. *)

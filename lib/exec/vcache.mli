@@ -1,10 +1,8 @@
-(** A versioned memo cache — the verdict-side sibling of {!Qcache}.
+(** A versioned memo cache for verdicts.
 
-    {!Qcache} memoizes solver queries, whose answers are properties of
-    the constraint set alone. Verdicts from a cooperating remote node are
-    different: they are computed against that node's {e live state}, so a
-    memoized answer is only valid while that state has not moved. Every
-    entry therefore carries the version (e.g.
+    Verdicts from a cooperating remote node are computed against that
+    node's {e live state}, so a memoized answer is only valid while that
+    state has not moved. Every entry therefore carries the version (e.g.
     {!Dice_bgp.Router.updates_processed}) of the state it was computed
     against; a {!find} presenting a newer version misses, and the stale
     entry is evicted. There is no explicit flush: advancing the version

@@ -247,12 +247,12 @@ let test_leakable_summary () =
 
 (* ---- Orchestrator (on the 3-router testbed) ---- *)
 
-let testbed filtering =
+let testbed ?(prefixes = 1500) filtering =
   let topo = Dice_topology.Threerouter.build filtering in
   Dice_topology.Threerouter.start topo;
   let trace =
     Dice_trace.Gen.generate
-      { Dice_trace.Gen.default_params with Dice_trace.Gen.n_prefixes = 1500; duration = 30.0 }
+      { Dice_trace.Gen.default_params with Dice_trace.Gen.n_prefixes = prefixes; duration = 30.0 }
   in
   ignore (Dice_topology.Threerouter.load_table topo trace);
   topo
@@ -395,6 +395,52 @@ let test_orchestrator_whole_message_mode () =
       (float_of_int invalid >= 0.5 *. float_of_int total)
   | _ -> Alcotest.fail "expected one seed report"
 
+(* Seed-level parallelism is the only parallelism inside one
+   [Orchestrator.explore]: each seed explores sequentially on its own
+   worker, so the per-seed reports must not depend on [jobs]. *)
+let test_orchestrator_jobs_deterministic () =
+  let topo = testbed ~prefixes:200 Dice_topology.Threerouter.Partially_correct in
+  let provider = Dice_topology.Threerouter.provider_router topo in
+  let route =
+    Route.make ~origin:Attr.Igp
+      ~as_path:[ Asn.Path.Seq [ Dice_topology.Threerouter.customer_as ] ]
+      ~next_hop:tr_customer_addr ()
+  in
+  let seed_summaries jobs =
+    let cfg = explore_cfg ~runs:32 () in
+    let cfg =
+      { cfg with
+        Orchestrator.exploration = { cfg.Orchestrator.exploration with Orchestrator.jobs };
+      }
+    in
+    let dice = Orchestrator.create ~cfg (Speakers.bird provider) in
+    List.iter
+      (fun prefix -> Orchestrator.observe dice ~peer:tr_customer_addr ~prefix:(p prefix) ~route)
+      [ "203.0.113.0/24"; "203.0.112.0/24"; "198.51.100.0/24"; "192.0.2.0/24" ];
+    let report = Orchestrator.explore dice in
+    List.map
+      (fun (sr : Orchestrator.seed_report) ->
+        let finding (f : Checker.fault) =
+          Checker.fault_key f
+          ^ String.concat "" (List.map (fun (k, v) -> ";" ^ k ^ "=" ^ v) f.Checker.details)
+        in
+        ( Prefix.to_string sr.Orchestrator.seed.Orchestrator.prefix,
+          ( List.map finding sr.Orchestrator.faults,
+            (sr.Orchestrator.runs_accepted, sr.Orchestrator.runs_rejected),
+            Coverage.snapshot sr.Orchestrator.explorer.Explorer.coverage ) ))
+      report.Orchestrator.seed_reports
+  in
+  let seq = seed_summaries 1 and par = seed_summaries 2 in
+  Alcotest.(check int) "four seed reports" 4 (List.length seq);
+  Alcotest.(check bool) "the comparison covers findings" true
+    (List.exists (fun (_, (findings, _, _)) -> findings <> []) seq);
+  Alcotest.(
+    check
+      (list
+         (pair string
+            (triple (list string) (pair int int) (list (pair int bool))))))
+    "jobs=2 seed reports equal jobs=1" seq par
+
 let suite =
   [ ("symbolize defaults", `Quick, test_symbolize_defaults);
     ("symbolize seed constraints", `Quick, test_symbolize_seed_constraints);
@@ -422,5 +468,6 @@ let suite =
     ("live router untouched", `Slow, test_orchestrator_live_router_untouched);
     ("exploration isolated", `Slow, test_orchestrator_isolation);
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);
-    ("whole-message mode", `Slow, test_orchestrator_whole_message_mode)
+    ("whole-message mode", `Slow, test_orchestrator_whole_message_mode);
+    ("orchestrator jobs=1 and jobs=2 agree", `Slow, test_orchestrator_jobs_deterministic)
   ]

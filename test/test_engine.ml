@@ -55,15 +55,6 @@ let test_coverage () =
   Alcotest.(check int) "directions" 2 (Coverage.direction_count cov);
   Alcotest.(check int) "sites" 1 (Coverage.site_count cov)
 
-let test_coverage_merge () =
-  let a = Coverage.create () and b = Coverage.create () in
-  let s1 = Path.Site.intern "t:cm1" and s2 = Path.Site.intern "t:cm2" in
-  ignore (Coverage.record a s1 true);
-  ignore (Coverage.record b s2 false);
-  Coverage.merge_into ~dst:a b;
-  Alcotest.(check int) "merged" 2 (Coverage.direction_count a);
-  Alcotest.(check bool) "has b's" true (Coverage.covered a s2 false)
-
 (* ---- Engine ---- *)
 
 let test_null_ctx_concrete () =
@@ -151,7 +142,6 @@ let suite =
     ("constr_holds", `Quick, test_constr_holds);
     ("path signature", `Quick, test_signature);
     ("coverage", `Quick, test_coverage);
-    ("coverage merge", `Quick, test_coverage_merge);
     ("null ctx concrete", `Quick, test_null_ctx_concrete);
     ("input default", `Quick, test_recording_input_default);
     ("input override", `Quick, test_recording_input_override);

@@ -191,11 +191,13 @@ let test_solve_two_var_chain () =
   Alcotest.(check int64) "y" 7L (Hashtbl.find env y.Sym.id)
 
 let test_solver_stats () =
-  Solver.reset_stats ();
+  let stats = Solver.stats_create () in
   let x = v8 "xe" in
-  ignore (solve [ nonzero (Sym.Binop (Sym.Eq, Sym.of_var x, c 8 1L)) ]);
-  Alcotest.(check int) "calls" 1 Solver.global_stats.Solver.calls;
-  Alcotest.(check int) "sat" 1 Solver.global_stats.Solver.sat
+  ignore
+    (Solver.solve ~stats ~hint:(mk_env [])
+       [ nonzero (Sym.Binop (Sym.Eq, Sym.of_var x, c 8 1L)) ]);
+  Alcotest.(check int) "calls" 1 stats.Solver.calls;
+  Alcotest.(check int) "sat" 1 stats.Solver.sat
 
 let test_prefix_agreement_shape () =
   (* the exact shape the RIB probe emits:
