@@ -77,7 +77,10 @@ let lex src =
     while !pos < n && is_digit src.[!pos] do
       incr pos
     done;
-    int_of_string (String.sub src start (!pos - start))
+    let digits = String.sub src start (!pos - start) in
+    match int_of_string_opt digits with
+    | Some v -> v
+    | None -> error (Printf.sprintf "integer %s out of range" digits)
   in
   while !pos < n do
     let c = src.[!pos] in

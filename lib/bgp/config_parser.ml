@@ -354,6 +354,13 @@ let parse_static st =
   in
   go []
 
+(* Config_types.make refuses duplicate names (lookups take the first
+   hit, so a twin would be shadowed); refuse them here instead, at the
+   line of the second declaration, so [parse] keeps its error contract *)
+let refuse_duplicate ~at what key keys =
+  if List.mem key keys then
+    raise (Parse_error { line = at; msg = Printf.sprintf "duplicate %s %S" what key })
+
 let parse_config st =
   let router_id = ref None in
   let local_as = ref None in
@@ -362,6 +369,7 @@ let parse_config st =
   let statics = ref [] in
   let anycast = ref [] in
   let rec go () =
+    let at = line st in
     match next st with
     | L.EOF -> ()
     | L.IDENT "router" ->
@@ -375,7 +383,10 @@ let parse_config st =
       expect st L.SEMI "';'";
       go ()
     | L.IDENT "filter" ->
-      filters := parse_filter_decl st :: !filters;
+      let f = parse_filter_decl st in
+      refuse_duplicate ~at "filter" f.Filter.name
+        (List.map (fun f -> f.Filter.name) !filters);
+      filters := f :: !filters;
       go ()
     | L.IDENT "protocol" -> begin
       match next st with
@@ -383,7 +394,13 @@ let parse_config st =
         statics := !statics @ parse_static st;
         go ()
       | L.IDENT "bgp" ->
-        peers := parse_bgp_protocol st ~filters:!filters :: !peers;
+        let peer = parse_bgp_protocol st ~filters:!filters in
+        let field f = List.map f !peers in
+        refuse_duplicate ~at "protocol bgp" peer.Config_types.name
+          (field (fun p -> p.Config_types.name));
+        refuse_duplicate ~at "neighbor" (Ipv4.to_string peer.Config_types.neighbor)
+          (field (fun p -> Ipv4.to_string p.Config_types.neighbor));
+        peers := peer :: !peers;
         go ()
       | t -> fail st (Printf.sprintf "unknown protocol %s" (L.token_to_string t))
     end

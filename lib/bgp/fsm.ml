@@ -21,11 +21,6 @@ type timer =
   | Hold
   | Keepalive_timer
 
-let timer_to_string = function
-  | Connect_retry -> "connect-retry"
-  | Hold -> "hold"
-  | Keepalive_timer -> "keepalive"
-
 type event =
   | Manual_start
   | Manual_stop

@@ -19,8 +19,6 @@ type timer =
   | Hold
   | Keepalive_timer
 
-val timer_to_string : timer -> string
-
 type event =
   | Manual_start
   | Manual_stop

@@ -113,9 +113,3 @@ type src = {
 }
 
 let static_src = { peer_addr = 0; peer_asn = 0; peer_bgp_id = 0; ebgp = false }
-
-let pp_src ppf s =
-  if s = static_src then Format.fprintf ppf "static"
-  else
-    Format.fprintf ppf "%a(%a,%s)" Ipv4.pp s.peer_addr Asn.pp s.peer_asn
-      (if s.ebgp then "eBGP" else "iBGP")

@@ -59,5 +59,3 @@ type src = {
 val static_src : src
 (** Placeholder provenance for locally-originated (static) routes: they
     win every tie-break against learned routes. *)
-
-val pp_src : Format.formatter -> src -> unit

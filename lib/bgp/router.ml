@@ -729,64 +729,66 @@ let decode_slot_payload t r =
   | k -> invalid_arg (Printf.sprintf "Router.restore: bad slot kind %d" k)
 
 let restore cfg image =
-  let r = Rbuf.of_bytes image in
-  let m = Bytes.to_string (Rbuf.take ~what:"magic" r (String.length magic)) in
-  if m <> magic then invalid_arg "Router.restore: bad magic";
-  let t = create cfg in
-  t.loc <- Rib.Loc.empty;  (* statics come back through the loc slots *)
-  t.updates <- Rbuf.u32 ~what:"updates" r;
-  let n_peers = Rbuf.u16 ~what:"peer count" r in
-  for _ = 1 to n_peers do
-    let addr = Rbuf.u32 ~what:"peer addr" r in
-    let fsm = fsm_of_code (Rbuf.u8 ~what:"fsm" r) in
-    let as4 = Rbuf.u8 ~what:"as4" r = 1 in
-    match Hashtbl.find_opt t.peers addr with
-    | Some p ->
-      p.fsm <- fsm;
-      p.as4 <- as4
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Router.restore: snapshot peer %s not in configuration"
-           (Ipv4.to_string addr))
-  done;
-  let n_slots = Rbuf.u32 ~what:"slot count" r in
-  let header_len = Rbuf.pos r in
-  let header_room = ((header_len / slot_size) + 1) * slot_size in
-  if Bytes.length image < header_room + (n_slots * slot_size) + 4 then
-    invalid_arg "Router.restore: image shorter than its slot region";
-  t.next_slot <- n_slots;
-  let spilled = ref [] in
-  for idx = 0 to n_slots - 1 do
-    let off = header_room + (idx * slot_size) in
-    match Bytes.get image off with
-    | '\000' -> t.free_slots <- idx :: t.free_slots
-    | '\001' ->
-      let sr = Rbuf.of_bytes (Bytes.sub image (off + 1) (slot_size - 1)) in
-      let key = decode_slot_payload t sr in
-      Hashtbl.replace t.slots key idx
-    | '\002' -> spilled := idx :: !spilled
-    | c -> invalid_arg (Printf.sprintf "Router.restore: bad slot marker %C" c)
-  done;
-  t.free_slots <- List.sort_uniq Int.compare t.free_slots;
-  (* overflow region *)
-  let tail_off = header_room + (n_slots * slot_size) in
-  let tail = Rbuf.of_bytes (Bytes.sub image tail_off (Bytes.length image - tail_off)) in
-  let n_overflow = Rbuf.u32 ~what:"overflow count" tail in
-  if n_overflow <> List.length !spilled then
-    invalid_arg "Router.restore: overflow count does not match spilled slots";
-  (* spilled slots were recorded in Hashtbl.iter order at snapshot time;
-     we cannot recover that order, so overflow entries carry their own
-     payloads and we re-associate by decoding in file order and assigning
-     the spilled slot indices in ascending order (both sides sort) *)
-  let spilled = List.sort Int.compare !spilled in
-  List.iter
-    (fun idx ->
-      let len = Rbuf.u16 ~what:"overflow len" tail in
-      let body = Rbuf.sub tail len in
-      let key = decode_slot_payload t body in
-      Hashtbl.replace t.slots key idx)
-    spilled;
-  t
+  try
+    let r = Rbuf.of_bytes image in
+    let m = Bytes.to_string (Rbuf.take ~what:"magic" r (String.length magic)) in
+    if m <> magic then invalid_arg "Router.restore: bad magic";
+    let t = create cfg in
+    t.loc <- Rib.Loc.empty;  (* statics come back through the loc slots *)
+    t.updates <- Rbuf.u32 ~what:"updates" r;
+    let n_peers = Rbuf.u16 ~what:"peer count" r in
+    for _ = 1 to n_peers do
+      let addr = Rbuf.u32 ~what:"peer addr" r in
+      let fsm = fsm_of_code (Rbuf.u8 ~what:"fsm" r) in
+      let as4 = Rbuf.u8 ~what:"as4" r = 1 in
+      match Hashtbl.find_opt t.peers addr with
+      | Some p ->
+        p.fsm <- fsm;
+        p.as4 <- as4
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Router.restore: snapshot peer %s not in configuration"
+             (Ipv4.to_string addr))
+    done;
+    let n_slots = Rbuf.u32 ~what:"slot count" r in
+    let header_len = Rbuf.pos r in
+    let header_room = ((header_len / slot_size) + 1) * slot_size in
+    if Bytes.length image < header_room + (n_slots * slot_size) + 4 then
+      invalid_arg "Router.restore: image shorter than its slot region";
+    t.next_slot <- n_slots;
+    let spilled = ref [] in
+    for idx = 0 to n_slots - 1 do
+      let off = header_room + (idx * slot_size) in
+      match Bytes.get image off with
+      | '\000' -> t.free_slots <- idx :: t.free_slots
+      | '\001' ->
+        let sr = Rbuf.of_bytes (Bytes.sub image (off + 1) (slot_size - 1)) in
+        let key = decode_slot_payload t sr in
+        Hashtbl.replace t.slots key idx
+      | '\002' -> spilled := idx :: !spilled
+      | c -> invalid_arg (Printf.sprintf "Router.restore: bad slot marker %C" c)
+    done;
+    t.free_slots <- List.sort_uniq Int.compare t.free_slots;
+    (* overflow region *)
+    let tail_off = header_room + (n_slots * slot_size) in
+    let tail = Rbuf.of_bytes (Bytes.sub image tail_off (Bytes.length image - tail_off)) in
+    let n_overflow = Rbuf.u32 ~what:"overflow count" tail in
+    if n_overflow <> List.length !spilled then
+      invalid_arg "Router.restore: overflow count does not match spilled slots";
+    (* spilled slots were recorded in Hashtbl.iter order at snapshot time;
+       we cannot recover that order, so overflow entries carry their own
+       payloads and we re-associate by decoding in file order and assigning
+       the spilled slot indices in ascending order (both sides sort) *)
+    let spilled = List.sort Int.compare !spilled in
+    List.iter
+      (fun idx ->
+        let len = Rbuf.u16 ~what:"overflow len" tail in
+        let body = Rbuf.sub tail len in
+        let key = decode_slot_payload t body in
+        Hashtbl.replace t.slots key idx)
+      spilled;
+    t
+  with Rbuf.Truncated what -> invalid_arg ("Router.restore: truncated image: " ^ what)
 
 (* ------------------------------------------------------------------ *)
 (* In-process cloning                                                  *)

@@ -22,5 +22,3 @@ let count ~page_size size =
   (size + page_size - 1) / page_size
 
 let equal_id a b = Int64.equal a.hash b.hash && a.len = b.len
-
-let pp_id ppf t = Format.fprintf ppf "%Lx:%d" t.hash t.len

@@ -24,4 +24,3 @@ val count : page_size:int -> int -> int
 (** Number of pages needed for a state of the given byte size. *)
 
 val equal_id : id -> id -> bool
-val pp_id : Format.formatter -> id -> unit

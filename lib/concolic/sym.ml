@@ -12,15 +12,6 @@ let var ~name ~width =
   let id = Atomic.fetch_and_add next_id 1 in
   { id; name; width }
 
-let var_named ~id ~name ~width =
-  check_width width;
-  let rec bump () =
-    let cur = Atomic.get next_id in
-    if id >= cur && not (Atomic.compare_and_set next_id cur (id + 1)) then bump ()
-  in
-  bump ();
-  { id; name; width }
-
 type unop = Neg | Bnot | Lnot
 
 type binop =

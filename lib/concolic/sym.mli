@@ -15,10 +15,6 @@ type var = private { id : int; name : string; width : int }
 val var : name:string -> width:int -> var
 (** Register a fresh variable. @raise Invalid_argument on bad width. *)
 
-val var_named : id:int -> name:string -> width:int -> var
-(** Rebuild a variable with a known id (used when replaying explorations
-    across cloned contexts, where input order fixes the ids). *)
-
 type unop =
   | Neg   (** two's-complement negation *)
   | Bnot  (** bitwise complement *)

@@ -399,12 +399,6 @@ module Recovery = struct
     Mutex.unlock t.lock;
     v
 
-  let journal_length t =
-    Mutex.lock t.lock;
-    let v = t.journal_len in
-    Mutex.unlock t.lock;
-    v
-
   let state_version t =
     match t.agent.transport with
     | Local sp -> Speaker.updates_processed sp

@@ -36,7 +36,7 @@
       router processes an update;
     - {!checker} packages remote probing as a fault checker: every
       message an exploration run would send to a neighbor with an agent
-      is forwarded (from the interception sandbox, never the live
+      is forwarded (from the clone's returned outputs, never the live
       network), and remote origin conflicts become system-wide fault
       reports. *)
 
@@ -211,9 +211,6 @@ module Recovery : sig
   val restarts : harness -> int
   val snapshots : harness -> int
   (** Snapshots taken (the initial one plus each journal fold). *)
-
-  val journal_length : harness -> int
-  (** Updates currently in the journal (< [journal_cap]). *)
 
   val state_version : harness -> int
   (** The live speaker's [updates_processed] (0 on a [Remote] agent) —

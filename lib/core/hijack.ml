@@ -85,9 +85,7 @@ let checker = { Checker.name = "origin-hijack"; check }
 (* cross-implementation divergence reports describe how speakers
    disagree about an announcement, not address space an announcement
    could take over — they never make a range "leakable" *)
-let divergence_checkers =
-  [ "panel-tiebreak"; "panel-divergence";
-    "cross-implementation-tiebreak"; "cross-implementation-divergence" ]
+let divergence_checkers = [ "panel-tiebreak"; "panel-divergence" ]
 
 let leakable_summary faults =
   let tbl : (Prefix.t, int) Hashtbl.t = Hashtbl.create 16 in

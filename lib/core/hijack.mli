@@ -20,6 +20,5 @@ val checker : Checker.t
 val leakable_summary : Checker.fault list -> (Dice_inet.Prefix.t * int) list
 (** Aggregate faults into (prefix range, fault count) pairs, sorted —
     "DiCE clearly states which prefix ranges can be leaked".
-    Cross-implementation divergence reports ({!Panel},
-    {!Differential}) are excluded: they describe speaker disagreement,
-    not leakable address space. *)
+    Cross-implementation divergence reports ({!Panel}) are excluded:
+    they describe speaker disagreement, not leakable address space. *)

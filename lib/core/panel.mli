@@ -1,9 +1,9 @@
 (** The N-way differential panel: divergence hunting as a product.
 
-    {!Differential} compares two speakers and can say {e that} they
-    disagree; with three or more implementations behind identical
-    state, the panel can say {e who} is wrong. Every member receives
-    the same [(from, msg)] schedule through the existing
+    A two-member panel is the pairwise check: it can say {e that} two
+    speakers disagree; with three or more implementations behind
+    identical state, the panel can say {e who} is wrong. Every member
+    receives the same [(from, msg)] schedule through the existing
     {!Distributed} transport (Local or Remote — the panel never peeks
     past the narrow interface), each {!Verdict.t} field is put to a
     majority vote, and a divergence names its {b outlier} member(s):

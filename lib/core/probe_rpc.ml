@@ -21,7 +21,6 @@ type server = {
   mutable executed : int;
   mutable dedup : int;
   mutable sbad : int;
-  mutable beats : int;
 }
 
 let serve ?(dedup_cache = 512) net ~name ~answer =
@@ -37,7 +36,6 @@ let serve ?(dedup_cache = 512) net ~name ~answer =
       executed = 0;
       dedup = 0;
       sbad = 0;
-      beats = 0;
     }
   in
   let handler net ~self ~from:src b =
@@ -89,7 +87,6 @@ let frames_served s = s.served
 let frames_executed s = s.executed
 let dedup_hits s = s.dedup
 let bad_frames s = s.sbad
-let heartbeats_sent s = s.beats
 
 let start_heartbeats ?until s ~to_ ~period ~incarnation ~state_version =
   if not (period > 0.0 && period < Float.infinity) then
@@ -108,8 +105,7 @@ let start_heartbeats ?until s ~to_ ~period ~incarnation ~state_version =
       (try
          Network.send s.snet ~src:s.snode ~dst:to_
            (Probe_wire.encode_heartbeat ~seq:!seq ~incarnation:(incarnation ())
-              ~state_version:(state_version ()));
-         s.beats <- s.beats + 1
+              ~state_version:(state_version ()))
        with Invalid_argument _ -> ());
       incr seq;
       Network.schedule s.snet ~delay:period beat
@@ -232,7 +228,6 @@ let endpoint ?(config = default_config) ?(seed = default_endpoint_seed) ecl ~ser
     calls = 0; retried = 0; timed_out = 0; declined = 0; fail_fast = 0; opens = 0;
     consec_timeouts = 0; breaker = Closed; trial_in_flight = false }
 
-let endpoint_config ep = ep.cfg
 let endpoint_link ep = (ep.ecl.net, ep.ecl.node, ep.server)
 let endpoint_health ep = ep.health
 

@@ -84,9 +84,6 @@ val bad_frames : server -> int
 (** Malformed or unexpected frames dropped so far (a corrupted request
     frame lands here). *)
 
-val heartbeats_sent : server -> int
-(** Heartbeat frames this server actually put on the wire. *)
-
 val start_heartbeats :
   ?until:float ->
   server ->
@@ -151,8 +148,6 @@ val endpoint :
     equal seeds and call sequences replay identical backoff and
     cooldown schedules. Creating the endpoint also registers its
     {!Health} monitor for the server's heartbeats on this client. *)
-
-val endpoint_config : endpoint -> config
 
 val endpoint_link : endpoint -> Network.t * Network.node_id * Network.node_id
 (** The wire under an endpoint: [(network, client node, server node)].

@@ -97,14 +97,6 @@ let comparison_json (c : Validate.comparison) =
       ("proposed", report_json c.Validate.proposed_report)
     ]
 
-let counts (r : Orchestrator.report) =
-  List.fold_left
-    (fun (crit, warn) (f : Checker.fault) ->
-      match f.Checker.severity with
-      | Checker.Critical -> (crit + 1, warn)
-      | Checker.Warning -> (crit, warn + 1))
-    (0, 0) r.Orchestrator.faults
-
 let to_text r =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Format.asprintf "%a@." Orchestrator.pp_report r);
@@ -118,15 +110,3 @@ let to_text r =
           (Printf.sprintf "  %-20s %d finding(s)\n" (Prefix.to_string prefix) n))
       ranges);
   Buffer.contents buf
-
-let summary_line r =
-  let crit, warn = counts r in
-  let executions =
-    List.fold_left
-      (fun acc (sr : Orchestrator.seed_report) ->
-        acc + sr.Orchestrator.explorer.Explorer.executions)
-      0 r.Orchestrator.seed_reports
-  in
-  Printf.sprintf "dice: %d seed(s), %d executions, %d critical, %d warning, %.2fs"
-    (List.length r.Orchestrator.seed_reports)
-    executions crit warn r.Orchestrator.wall_seconds

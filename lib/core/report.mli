@@ -22,7 +22,3 @@ val comparison_json : Validate.comparison -> Dice_util.Json.t
 val to_text : Orchestrator.report -> string
 (** The same content as {!Orchestrator.pp_report}, plus the leakable-range
     summary — the paragraph an operator reads. *)
-
-val summary_line : Orchestrator.report -> string
-(** One line for logs: seeds, executions, critical/warning counts, wall
-    time. *)

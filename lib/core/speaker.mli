@@ -25,7 +25,7 @@
       operations and session transitions are implementation business;
     - {b snapshot / clone live state}: {!S.freeze} checkpoints the
       speaker instantly and returns a serialization thunk (run off the
-      live node's critical path), {!S.snapshot} is the eager form, and
+      live node's critical path), {!snapshot} is the eager form, and
       {!S.restore} rebuilds an equivalent speaker — how checkpointed
       probing clones a cooperating node without touching it. The byte
       format is the implementation's own; the core treats it as opaque;
@@ -152,9 +152,6 @@ module type S = sig
       O(#peers); others may serialize eagerly and return a constant
       thunk. *)
 
-  val snapshot : t -> bytes
-  (** [freeze t ()] — checkpoint and serialize in one step. *)
-
   val restore : realization -> bytes -> t
   (** Rebuild a speaker from a snapshot taken of a speaker {e of the
       same implementation} with the same peer set. The realization is
@@ -215,7 +212,9 @@ val best_route : instance -> Prefix.t -> Rib.Loc.entry option
 val learned_from : instance -> peer:Ipv4.t -> Prefix.t -> bool
 val updates_processed : instance -> int
 val freeze : instance -> unit -> bytes
+
 val snapshot : instance -> bytes
+(** [freeze inst ()] — checkpoint and serialize in one step. *)
 
 val clone : instance -> instance
 (** {!S.clone} under the same module and realization — how a probe or an

@@ -65,7 +65,6 @@ module Bird = struct
     let image = Router.freeze t in
     fun () -> Router.serialize image
 
-  let snapshot = Router.snapshot
   let restore (r : Speaker.realization) image = Router.restore r.Speaker.config image
   let clone = Router.clone
 end
@@ -100,7 +99,6 @@ module Quagga = struct
     let image = Qrouter.snapshot t in
     fun () -> image
 
-  let snapshot = Qrouter.snapshot
   let restore (r : Speaker.realization) image = Qrouter.restore r.Speaker.config image
   let clone = Qrouter.clone
 end
@@ -135,7 +133,6 @@ module Xorp = struct
     let image = Xrouter.snapshot t in
     fun () -> image
 
-  let snapshot = Xrouter.snapshot
   let restore (r : Speaker.realization) image = Xrouter.restore r.Speaker.config image
   let clone = Xrouter.clone
 end

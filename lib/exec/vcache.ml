@@ -59,7 +59,6 @@ let store t ~version key value =
   Mutex.unlock s.lock
 
 let invalidate t = Atomic.incr t.epoch
-let invalidations t = Atomic.get t.epoch
 
 let hits t = Atomic.get t.hit_count
 let misses t = Atomic.get t.miss_count

@@ -40,9 +40,6 @@ val invalidate : ('k, 'v) t -> unit
     alone cannot be trusted across a restart. Entries are dropped
     lazily, on their next lookup. *)
 
-val invalidations : ('k, 'v) t -> int
-(** {!invalidate} calls so far (the current epoch). *)
-
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
 

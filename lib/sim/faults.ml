@@ -54,6 +54,3 @@ let node ?(crash = 0.0) ?(downtime = 0.0) () =
   n
 
 let node_is_none n = n.crash = 0.0
-
-let pp_node ppf n =
-  Format.fprintf ppf "crash=%.2f downtime=%.3fs" n.crash n.downtime

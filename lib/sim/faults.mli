@@ -83,5 +83,3 @@ val validate_node : node -> unit
 
 val node_is_none : node -> bool
 (** [true] iff the node never crashes. *)
-
-val pp_node : Format.formatter -> node -> unit

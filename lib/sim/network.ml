@@ -140,8 +140,6 @@ let set_faults t a b f =
 
 let clear_faults t a b = Hashtbl.remove t.faults (link_key a b)
 
-let link_faults t a b = Hashtbl.find_opt t.faults (link_key a b)
-
 (* ---- node crash faults ---- *)
 
 let set_crash_seed t seed = t.crash_rng <- Rng.create seed
@@ -152,15 +150,11 @@ let set_node_faults t id nf =
   if Faults.node_is_none nf then Hashtbl.remove t.node_faults id
   else Hashtbl.replace t.node_faults id nf
 
-let clear_node_faults t id = Hashtbl.remove t.node_faults id
-
 let node_faults t id = Hashtbl.find_opt t.node_faults id
 
 let set_restart_hook t id hook =
   check_node t id "set_restart_hook";
   Hashtbl.replace t.restart_hooks id hook
-
-let clear_restart_hook t id = Hashtbl.remove t.restart_hooks id
 
 let messages_dropped t = t.dropped
 let messages_duplicated t = t.duplicated

@@ -70,8 +70,6 @@ val set_faults : t -> node_id -> node_id -> Faults.t -> unit
 val clear_faults : t -> node_id -> node_id -> unit
 (** Back to reliable in-order delivery. *)
 
-val link_faults : t -> node_id -> node_id -> Faults.t option
-
 val messages_dropped : t -> int
 (** Frames lost to link faults so far. *)
 
@@ -130,7 +128,6 @@ val set_node_faults : t -> node_id -> Faults.node -> unit
     @raise Invalid_argument as {!Faults.validate_node}, or on an
     unknown node. *)
 
-val clear_node_faults : t -> node_id -> unit
 val node_faults : t -> node_id -> Faults.node option
 
 val set_restart_hook : t -> node_id -> (unit -> unit) -> unit
@@ -138,8 +135,6 @@ val set_restart_hook : t -> node_id -> (unit -> unit) -> unit
     crash or manual {!resume_node} alike. This is where a crashed agent
     rebuilds its state and re-announces liveness. One hook per node;
     setting replaces. *)
-
-val clear_restart_hook : t -> node_id -> unit
 
 val messages_requeued : t -> int
 (** Frames redelivered by {!resume_node} so far (buffered during a

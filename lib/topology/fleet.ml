@@ -17,13 +17,6 @@ type member = {
   mutable inbox : (Ipv4.t * Msg.t) list;  (* next wave's arrivals, in order *)
 }
 
-type rpc = {
-  net : Net.t;
-  client : Probe_rpc.client;
-  servers : (string * Probe_rpc.server) list;
-  remote_agents : (string * Distributed.agent) list;
-}
-
 type t = {
   spec : Spec.t;
   members : member array;
@@ -33,7 +26,7 @@ type t = {
   routes : (Ipv4.t, int * Ipv4.t) Hashtbl.t;
   store : Store.t;
   mutable snaps : Store.snapshot list;
-  rpc : rpc option;
+  remote_agents : (string * Distributed.agent) list;  (* empty without rpc *)
 }
 
 let spec t = t.spec
@@ -49,18 +42,9 @@ let speaker t name = (member t name).speaker
 let agent t name = (member t name).agent
 let agents t = Array.to_list t.members |> List.map (fun m -> m.agent)
 
-let rpc_net t = Option.map (fun r -> r.net) t.rpc
+let remote_agent t name = List.assoc_opt name t.remote_agents
 
-let rpc_client t = Option.map (fun r -> r.client) t.rpc
-
-let rpc_server t name =
-  Option.bind t.rpc (fun r -> List.assoc_opt name r.servers)
-
-let remote_agent t name =
-  Option.bind t.rpc (fun r -> List.assoc_opt name r.remote_agents)
-
-let remote_agents t =
-  match t.rpc with None -> [] | Some r -> r.remote_agents
+let remote_agents t = t.remote_agents
 
 let heartbeat_horizon = 3600.0
 
@@ -98,38 +82,34 @@ let realize ?(rpc = false) ?store:st (spec : Spec.t) =
           Hashtbl.replace routes n.my_addr (m.index, n.peer_addr))
         m.neighbors)
     members;
-  let rpc =
-    if not rpc then None
+  let remote_agents =
+    if not rpc then []
     else begin
       let net = Net.create () in
       let client = Probe_rpc.client net ~name:"explorer" in
-      let servers, remote_agents =
-        Array.to_list members
-        |> List.map (fun m ->
-               let server = Distributed.serve net m.agent in
-               Net.connect net (Probe_rpc.client_node client)
-                 (Probe_rpc.server_node server) ~latency:0.001;
-               let ep =
-                 Probe_rpc.endpoint client ~server:(Probe_rpc.server_node server)
-               in
-               Probe_rpc.start_heartbeats ~until:heartbeat_horizon server
-                 ~to_:(Probe_rpc.client_node client) ~period:0.5
-                 ~incarnation:(fun () -> 0)
-                 ~state_version:(fun () -> Speaker.updates_processed m.speaker)
-                 ()
-               |> ignore;
-               let remote =
-                 Distributed.agent ~name:(m.domain.name ^ "_rpc")
-                   ~addr:(Spec.router_id spec m.domain.name)
-                   ~explorer_addr:m.feed_peer (Distributed.Remote ep)
-               in
-               ((m.domain.name, server), (m.domain.name, remote)))
-        |> List.split
-      in
-      Some { net; client; servers; remote_agents }
+      Array.to_list members
+      |> List.map (fun m ->
+             let server = Distributed.serve net m.agent in
+             Net.connect net (Probe_rpc.client_node client)
+               (Probe_rpc.server_node server) ~latency:0.001;
+             let ep =
+               Probe_rpc.endpoint client ~server:(Probe_rpc.server_node server)
+             in
+             Probe_rpc.start_heartbeats ~until:heartbeat_horizon server
+               ~to_:(Probe_rpc.client_node client) ~period:0.5
+               ~incarnation:(fun () -> 0)
+               ~state_version:(fun () -> Speaker.updates_processed m.speaker)
+               ()
+             |> ignore;
+             let remote =
+               Distributed.agent ~name:(m.domain.name ^ "_rpc")
+                 ~addr:(Spec.router_id spec m.domain.name)
+                 ~explorer_addr:m.feed_peer (Distributed.Remote ep)
+             in
+             (m.domain.name, remote))
     end
   in
-  { spec; members; by_name; routes; store; snaps = []; rpc }
+  { spec; members; by_name; routes; store; snaps = []; remote_agents }
 
 let establish t =
   Array.iter

@@ -59,10 +59,6 @@ val agents : t -> Distributed.agent list
 
 (** {1 RPC fabric} (when realized with [~rpc:true]) *)
 
-val rpc_net : t -> Dice_sim.Network.t option
-val rpc_client : t -> Probe_rpc.client option
-val rpc_server : t -> string -> Probe_rpc.server option
-
 val remote_agent : t -> string -> Distributed.agent option
 (** A [Remote] agent reaching the domain's server over the wire — the
     same speaker as {!agent}, probed through {!Probe_wire} frames. *)

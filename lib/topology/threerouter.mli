@@ -27,22 +27,6 @@ val provider_as : int
 val internet_as : int
 (** 64700 *)
 
-val customer_addr : Ipv4.t
-[@@deprecated "use Topology.Spec.address (spec f) ~of_:\"customer\" ~toward:\"provider\""]
-(** 10.0.1.2 *)
-
-val provider_addr_customer_side : Ipv4.t
-[@@deprecated "use Topology.Spec.address (spec f) ~of_:\"provider\" ~toward:\"customer\""]
-(** 10.0.1.1 *)
-
-val provider_addr_internet_side : Ipv4.t
-[@@deprecated "use Topology.Spec.address (spec f) ~of_:\"provider\" ~toward:\"internet\""]
-(** 10.0.2.1 *)
-
-val internet_addr : Ipv4.t
-[@@deprecated "use Topology.Spec.address (spec f) ~of_:\"internet\" ~toward:\"provider\""]
-(** 10.0.2.2 *)
-
 val customer_prefixes : Prefix.t list
 (** The address space the customer legitimately holds
     (203.0.113.0/24 and 198.51.100.0/22). *)
@@ -58,8 +42,6 @@ type filtering =
 val filtering_to_string : filtering -> string
 
 val provider_config : filtering -> Config_types.t
-val customer_config : unit -> Config_types.t
-val internet_config : unit -> Config_types.t
 
 val spec : filtering -> Topology.Spec.t
 (** The topology as a 3-domain {!Topology.Spec}: the hand-written

@@ -18,8 +18,6 @@ let int64 t =
 
 let split t = { state = int64 t }
 
-let bits32 t = Int64.to_int32 (Int64.shift_right_logical (int64 t) 32)
-
 let int t bound =
   assert (bound > 0);
   (* keep 62 bits so the value is non-negative in OCaml's 63-bit int *)

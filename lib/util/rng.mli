@@ -23,9 +23,6 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
-val bits32 : t -> int32
-(** Next 32 random bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 

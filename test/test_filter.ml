@@ -89,12 +89,46 @@ let test_parse_errors () =
   bad "accept";
   bad "bgp_local_pref 120;";
   bad "if net.len >> 3 then accept;";
-  bad "unknown_statement;"
+  bad "unknown_statement;";
+  bad "if net.len > 99999999999999999999 then accept;";
+  let bad_config src =
+    match Config_parser.parse src with
+    | exception Config_parser.Parse_error _ -> ()
+    | exception Config_lexer.Lex_error _ -> ()
+    | _ -> Alcotest.failf "expected parse error for %S" src
+  in
+  (* oversized integers and a duplicate protocol name are pinned to
+     their lines in the next test *)
+  bad_config
+    "router id 10.0.0.1; local as 1;\n\
+     protocol bgp a { neighbor 10.0.0.2 as 2; }\n\
+     protocol bgp b { neighbor 10.0.0.2 as 3; }";
+  bad_config "router id 10.0.0.1; local as 1;\nfilter f { accept; }\nfilter f { reject; }"
 
 let test_parse_error_line_numbers () =
-  match Config_parser.parse "router id 10.0.0.1;\nlocal as 1;\nbogus;" with
+  (match Config_parser.parse "router id 10.0.0.1;\nlocal as 1;\nbogus;" with
   | exception Config_parser.Parse_error { line; _ } -> Alcotest.(check int) "line 3" 3 line
-  | _ -> Alcotest.fail "expected parse error"
+  | _ -> Alcotest.fail "expected parse error");
+  (* out-of-range integers are lexical errors on their own line *)
+  (match Config_parser.parse "router id 10.0.0.1;\nlocal as 99999999999999999999;" with
+  | exception Config_lexer.Lex_error { line; _ } -> Alcotest.(check int) "local as" 2 line
+  | _ -> Alcotest.fail "expected a lexical error for an oversized AS");
+  (match
+     Config_parser.parse
+       "router id 10.0.0.1;\nlocal as 1;\nprotocol bgp a {\n neighbor 10.0.0.2 as 2;\n\
+        hold time 99999999999999999999;\n}"
+   with
+  | exception Config_lexer.Lex_error { line; _ } -> Alcotest.(check int) "hold time" 5 line
+  | _ -> Alcotest.fail "expected a lexical error for an oversized hold time");
+  (* a duplicate protocol is reported at its second declaration *)
+  match
+    Config_parser.parse
+      "router id 10.0.0.1;\nlocal as 1;\nprotocol bgp a { neighbor 10.0.0.2 as 2; }\n\
+       \nprotocol bgp a { neighbor 10.0.0.3 as 3; }"
+  with
+  | exception Config_parser.Parse_error { line; _ } ->
+    Alcotest.(check int) "second protocol bgp a" 5 line
+  | _ -> Alcotest.fail "expected a parse error for a duplicate protocol"
 
 let test_parse_full_config () =
   let cfg =

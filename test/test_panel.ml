@@ -181,7 +181,7 @@ let noise i =
       nlri = [ Prefix.make ((100 lsl 24) lor (i lsl 16)) 16 ];
     }
 
-let test_probe_pair_sorted_deterministic () =
+let test_two_member_sorted_deterministic () =
   (* exchanges arrive in descending prefix order; reports must come out
      prefix-sorted and identical whatever the job count *)
   let mk () =
@@ -219,8 +219,8 @@ let test_probe_pair_sorted_deterministic () =
   let run jobs =
     let left, right = mk () in
     List.map
-      (fun (d : Differential.divergence) -> Prefix.to_string d.Differential.prefix)
-      (Differential.probe_pair ~jobs ~left ~right exchanges)
+      (fun (d : Panel.divergence) -> Prefix.to_string d.Panel.prefix)
+      (Panel.probe ~jobs ~agents:[ left; right ] exchanges)
   in
   let sequential = run 1 in
   Alcotest.(check (list string))
@@ -523,8 +523,8 @@ let suite =
     ("panel: names the outlier on a tie-break split", `Quick, test_panel_names_outlier);
     ("panel: semantic divergence names the deviant", `Quick, test_panel_semantic_outlier);
     ("panel: agreement produces no divergence", `Quick, test_panel_agreement_is_silent);
-    ("probe_pair: prefix-sorted, jobs-independent", `Quick,
-      test_probe_pair_sorted_deterministic);
+    ("two-member panel: prefix-sorted, jobs-independent", `Quick,
+      test_two_member_sorted_deterministic);
     ("ddmin: 1-minimal on a synthetic predicate", `Quick, test_ddmin_synthetic);
     ("ddmin: rejects a non-failing input", `Quick, test_ddmin_requires_failing_input);
     ("minimize: 40-message hit shrinks to the trigger", `Quick,

@@ -1,8 +1,7 @@
-(* Tests for the discrete-event simulator: event queue, network,
-   isolation sandboxes. *)
+(* Tests for the discrete-event simulator: event queue, network, link and
+   node faults. *)
 module Eventq = Dice_sim.Eventq
 module Net = Dice_sim.Network
-module Isolation = Dice_sim.Isolation
 
 (* ---- Eventq ---- *)
 
@@ -403,39 +402,6 @@ let test_crash_model_validation () =
   | _ -> Alcotest.fail "unknown node must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* ---- Isolation ---- *)
-
-let test_isolation_captures () =
-  let sandbox = Isolation.create ~name:"test" in
-  Isolation.send sandbox ~src:1 ~dst:2 (Bytes.of_string "a");
-  Isolation.send sandbox ~src:1 ~dst:3 (Bytes.of_string "b");
-  Alcotest.(check int) "count" 2 (Isolation.count sandbox);
-  let captured = Isolation.captured sandbox in
-  Alcotest.(check (list int)) "destinations in order" [ 2; 3 ]
-    (List.map (fun c -> c.Isolation.dst) captured)
-
-let test_isolation_never_delivers () =
-  (* a sandboxed send must not touch any live network counters *)
-  let net, a, b, received = two_nodes () in
-  let sandbox = Isolation.create ~name:"iso" in
-  Isolation.send sandbox ~src:a ~dst:b (Bytes.of_string "leak?");
-  ignore (Net.run net);
-  Alcotest.(check int) "nothing sent on the wire" 0 (Net.messages_sent net);
-  Alcotest.(check (list (triple int int string))) "nothing delivered" [] !received
-
-let test_isolation_drain () =
-  let sandbox = Isolation.create ~name:"drain" in
-  Isolation.send sandbox ~src:0 ~dst:1 Bytes.empty;
-  let drained = Isolation.drain sandbox in
-  Alcotest.(check int) "drained one" 1 (List.length drained);
-  Alcotest.(check int) "now empty" 0 (Isolation.count sandbox)
-
-let test_isolation_clear () =
-  let sandbox = Isolation.create ~name:"clear" in
-  Isolation.send sandbox ~src:0 ~dst:1 Bytes.empty;
-  Isolation.clear sandbox;
-  Alcotest.(check int) "cleared" 0 (Isolation.count sandbox)
-
 let suite =
   [ ("eventq order", `Quick, test_eventq_order);
     ("eventq FIFO ties", `Quick, test_eventq_fifo_ties);
@@ -461,9 +427,5 @@ let suite =
     ("pause/resume: queued-delivery semantics", `Quick, test_pause_resume_queues_delivery);
     ("pause/resume: requeue preserves arrival order", `Quick, test_resume_requeue_ordering);
     ("crashes: seed replays the exact schedule", `Quick, test_crash_schedule_replays);
-    ("crashes: model validation", `Quick, test_crash_model_validation);
-    ("isolation captures", `Quick, test_isolation_captures);
-    ("isolation never delivers", `Quick, test_isolation_never_delivers);
-    ("isolation drain", `Quick, test_isolation_drain);
-    ("isolation clear", `Quick, test_isolation_clear)
+    ("crashes: model validation", `Quick, test_crash_model_validation)
   ]

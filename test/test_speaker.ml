@@ -127,6 +127,22 @@ let test_clone_isolation impl () =
     (Speaker.best_route sp (p "100.66.0.0/16") = None);
   Alcotest.(check bytes) "live state untouched" before (Speaker.snapshot sp)
 
+let test_truncated_restore impl () =
+  (* restore's contract is Invalid_argument on a corrupt image: every
+     strict prefix of a real snapshot must fail through it and nothing
+     else (no decoder exception leaking) *)
+  let sp = upstream impl in
+  let image = Speaker.snapshot sp in
+  for len = 0 to Bytes.length image - 1 do
+    match Speaker.restore_like sp (Speaker.realization sp) (Bytes.sub image 0 len) with
+    | _ ->
+      Alcotest.failf "%s: %d-byte prefix of a %d-byte image restored" impl len
+        (Bytes.length image)
+    | exception Invalid_argument _ -> ()
+    | exception e ->
+      Alcotest.failf "%s: %d-byte prefix raised %s" impl len (Printexc.to_string e)
+  done
+
 let test_freeze_captures_the_moment impl () =
   let sp = upstream impl in
   let serialize = Speaker.freeze sp in
@@ -374,6 +390,8 @@ let conformance impl =
     (impl ^ ": update-version counter", `Quick, test_version_counter impl);
     (impl ^ ": snapshot/restore roundtrip", `Quick, test_snapshot_restore_roundtrip impl);
     (impl ^ ": restored clones are isolated", `Quick, test_clone_isolation impl);
+    (impl ^ ": truncated images fail with Invalid_argument", `Quick,
+      test_truncated_restore impl);
     (impl ^ ": freeze captures the moment", `Quick, test_freeze_captures_the_moment impl);
     (impl ^ ": serves as the explored live node", `Quick, test_explores_as_live_node impl);
     (impl ^ ": local/remote transport equivalence", `Quick,

@@ -1,7 +1,6 @@
-(* Tests for Dice_util.Stats, Hashutil, Timeline. *)
+(* Tests for Dice_util.Stats, Hashutil. *)
 module Stats = Dice_util.Stats
 module Hashutil = Dice_util.Hashutil
-module Timeline = Dice_util.Timeline
 
 let feq = Alcotest.(check (float 1e-9))
 
@@ -119,35 +118,6 @@ let test_combine_order () =
   Alcotest.(check bool) "order sensitive" true
     (Hashutil.combine a b <> Hashutil.combine b a)
 
-(* ---- Timeline ---- *)
-
-let test_timeline_counts () =
-  let t = Timeline.create () in
-  Timeline.record t 1.0 10.0;
-  Timeline.record t 2.0 20.0;
-  Timeline.record t 3.0 30.0;
-  Alcotest.(check int) "count [1,3)" 2 (Timeline.count_in t 1.0 3.0);
-  feq "sum [1,3)" 30.0 (Timeline.sum_in t 1.0 3.0);
-  feq "rate [0,4)" 0.75 (Timeline.rate_in t 0.0 4.0)
-
-let test_timeline_span () =
-  let t = Timeline.create () in
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "empty" (0.0, 0.0) (Timeline.span t);
-  Timeline.record t 1.5 0.0;
-  Timeline.record t 9.0 0.0;
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "span" (1.5, 9.0) (Timeline.span t)
-
-let test_timeline_points_order () =
-  let t = Timeline.create () in
-  Timeline.record t 1.0 1.0;
-  Timeline.record t 1.0 2.0;
-  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-    "chronological" [ (1.0, 1.0); (1.0, 2.0) ] (Timeline.points t)
-
-let test_timeline_empty_rate () =
-  let t = Timeline.create () in
-  feq "empty window" 0.0 (Timeline.rate_in t 5.0 5.0)
-
 let suite =
   [ ("stats empty", `Quick, test_stats_empty);
     ("stats single", `Quick, test_stats_single);
@@ -162,9 +132,5 @@ let suite =
     ("fnv known", `Quick, test_fnv_known);
     ("fnv differs", `Quick, test_fnv_differs);
     ("fnv bytes window", `Quick, test_fnv_bytes_window);
-    ("combine order", `Quick, test_combine_order);
-    ("timeline counts", `Quick, test_timeline_counts);
-    ("timeline span", `Quick, test_timeline_span);
-    ("timeline points order", `Quick, test_timeline_points_order);
-    ("timeline empty rate", `Quick, test_timeline_empty_rate)
+    ("combine order", `Quick, test_combine_order)
   ]
