@@ -205,9 +205,10 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
   (* the engine's accumulated in-memory state (constraints recorded across
      all runs so far): part of a forked explorer's footprint *)
   let meta_buf = Buffer.create 1024 in
-  (* a pristine clone image for (re)creating the exploration speaker *)
-  let base_image = Fork.checkpoint_image checkpoint in
-  let clone = ref (Speaker.restore_like t.live real base_image) in
+  (* the checkpoint restored once per seed; every run that follows an
+     accepted one gets a fresh in-memory clone of it, never the base *)
+  let base = Speaker.restore_like t.live real (Fork.checkpoint_image checkpoint) in
+  let clone = ref (Speaker.clone base) in
   let dirty = ref false in
   let faults = ref [] in
   let accepted = ref 0 in
@@ -257,7 +258,7 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
   in
   let program ctx =
     if !dirty then begin
-      clone := Speaker.restore_like t.live real base_image;
+      clone := Speaker.clone base;
       dirty := false
     end;
     match ex.mode with
@@ -338,8 +339,9 @@ let explore t =
   let checkpoint = Fork.checkpoint mgr ~live_image in
   let seeds = take ex.max_seeds t.rev_seeds in
   t.rev_seeds <- [];
-  (* Seed explorations are independent — each restores its own speaker from
-     the shared checkpoint image — so they can run on separate domains.
+  (* Seed explorations are independent — each restores its own base speaker
+     from the shared checkpoint image and explores on clones of it — so they
+     can run on separate domains.
      [Pool.map] keeps report order equal to seed order whatever the
      schedule. *)
   let seed_reports =

@@ -3,7 +3,8 @@
 
     Against a {e live} speaker (any {!Speaker.S} implementation) it:
     + takes a page-granular checkpoint of the live process image,
-    + clones the checkpoint for exploration (copy-on-write),
+    + restores the checkpoint once per seed and explores on in-memory
+      clones of that base,
     + feeds each clone a previously observed input with selected fields
       symbolized,
     + lets the concolic engine negate recorded branch predicates to
@@ -13,9 +14,13 @@
       exploration traffic, and
     + runs fault checkers against every explored outcome.
 
-    The live speaker is never mutated: every exploration run executes on
-    a restored clone (of the same implementation — cloning goes through
-    {!Speaker.restore_like}). *)
+    The live speaker is never mutated. Each seed restores one base
+    speaker from the checkpoint image ({!Speaker.restore_like}, so it is
+    of the same implementation); the first run, and every run after an
+    accepted one, executes on a fresh {!Speaker.clone} of that base, so
+    every run starts from the checkpointed state. The checkpoint's pages
+    serve only the memory accounting ([checkpoint_pages] and the
+    clone-footprint samples). *)
 
 open Dice_inet
 open Dice_bgp
@@ -48,10 +53,10 @@ type exploration = {
   clone_samples : int;  (** CoW-cost samples collected per seed *)
   jobs : int;
       (** worker domains for seed-level parallelism: each pending seed
-          explores on its own speaker restored from the shared
-          checkpoint, [jobs] at a time. [1] (the default) keeps
-          everything on the calling domain. Report order always equals
-          seed order. *)
+          restores its own base speaker from the shared checkpoint and
+          explores on clones of it, [jobs] at a time. [1] (the default)
+          keeps everything on the calling domain. Report order always
+          equals seed order. *)
 }
 
 type federation = {

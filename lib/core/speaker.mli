@@ -25,9 +25,10 @@
       operations and session transitions are implementation business;
     - {b snapshot / clone live state}: {!S.freeze} checkpoints the
       speaker instantly and returns a serialization thunk (run off the
-      live node's critical path), {!snapshot} is the eager form, and
-      {!S.restore} rebuilds an equivalent speaker — how checkpointed
-      probing clones a cooperating node without touching it. The byte
+      live node's critical path), {!snapshot} is the eager form,
+      {!S.restore} rebuilds an equivalent speaker from the bytes, and
+      {!S.clone} copies one in memory — how exploration and probing get
+      disposable speakers without touching the live node. The byte
       format is the implementation's own; the core treats it as opaque;
     - {b report per-prefix verdicts}: {!S.loc_rib}, {!S.best_route} and
       {!S.learned_from} expose exactly the read-only views the probe
@@ -166,7 +167,12 @@ module type S = sig
       (O(#peers)); mutable-table implementations copy buckets eagerly.
       Either way there is no serialization: this is the explorer-clone
       path, where per-clone memory should be the write set, not the
-      table. Feeding the clone must never affect the original. *)
+      table. Feeding the clone, or running {!import_concolic} on it,
+      must never affect the original: exploration restores one base per
+      seed and runs every import on a clone of it, so a leak would carry
+      one run's writes into the next. A fresh clone also serializes to
+      the same bytes as the original, which the clone-footprint page
+      accounting relies on. *)
 end
 
 type instance = Inst : (module S with type t = 'a) * realization * 'a -> instance
@@ -217,17 +223,17 @@ val snapshot : instance -> bytes
 (** [freeze inst ()] — checkpoint and serialize in one step. *)
 
 val clone : instance -> instance
-(** {!S.clone} under the same module and realization — how a probe or an
-    explorer takes a disposable copy of a live speaker without paying
-    for a snapshot round-trip. *)
+(** {!S.clone} under the same module and realization — how a probe takes
+    a disposable copy of a live speaker, and an exploration run one of
+    its restored base, without paying for a snapshot round-trip. *)
 
 val restore_like : instance -> realization -> bytes -> instance
 (** [restore_like inst real image] rebuilds from [image] with the {e
-    same implementation} as [inst] — how the probe path clones a
-    cooperating node (pass [realization inst] unchanged; nothing is
-    re-rendered), and how validation builds a shadow speaker under a
-    proposed realization, without either ever naming an
-    implementation. *)
+    same implementation} as [inst] — how exploration restores its
+    per-seed base from the checkpoint and crash recovery rebuilds an
+    agent (pass [realization inst] unchanged; nothing is re-rendered),
+    and how validation builds a shadow speaker under a proposed
+    realization, without any of them ever naming an implementation. *)
 
 val rerealize : instance -> source -> realization
 (** Push a {e new} source through this instance's dialect — what

@@ -16,18 +16,28 @@ let p = Prefix.of_string
 let provider_side = Ipv4.of_string "10.0.2.1"
 let collector = Ipv4.of_string "10.0.3.2"
 
-let upstream_config () =
+(* [provider_in], when given, is the body of the provider session's
+   import filter; without it the session imports everything *)
+let upstream_config ?provider_in () =
+  let filter, import =
+    match provider_in with
+    | None -> ("", "import all;")
+    | Some body -> (Printf.sprintf "filter provider_in { %s }" body, "import filter provider_in;")
+  in
   Config_parser.parse
-    {|
+    (Printf.sprintf
+       {|
     router id 10.0.2.2;
     local as 64700;
-    protocol bgp provider { neighbor 10.0.2.1 as 64510; import all; export none; }
+    %s
+    protocol bgp provider { neighbor 10.0.2.1 as 64510; %s export none; }
     protocol bgp collector { neighbor 10.0.3.2 as 64701; import all; export all; }
     anycast [ 192.88.99.0/24 ];
     |}
+       filter import)
 
-let create impl =
-  match Speakers.create impl (Speaker.Config (upstream_config ())) with
+let create ?provider_in impl =
+  match Speakers.create impl (Speaker.Config (upstream_config ?provider_in ())) with
   | Some sp -> sp
   | None -> Alcotest.failf "speaker %s not registered" impl
 
@@ -47,8 +57,8 @@ let feed_incumbents sp =
            (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ p prefix ] })))
     incumbents
 
-let upstream impl =
-  let sp = create impl in
+let upstream ?provider_in impl =
+  let sp = create ?provider_in impl in
   Speaker.establish sp ~peer:provider_side;
   Speaker.establish sp ~peer:collector;
   feed_incumbents sp;
@@ -127,6 +137,38 @@ let test_clone_isolation impl () =
     (Speaker.best_route sp (p "100.66.0.0/16") = None);
   Alcotest.(check bytes) "live state untouched" before (Speaker.snapshot sp)
 
+let test_clone_of_restored_base impl () =
+  (* the contract exploration relies on: runs import into clones of one
+     base restored from the checkpoint, so neither the base nor a later
+     clone may see a clone's writes, and a fresh clone must serialize to
+     the checkpoint image (clone-footprint page accounting diffs
+     against it) *)
+  let sp = upstream impl in
+  let image = Speaker.snapshot sp in
+  let base = Speaker.restore_like sp (Speaker.realization sp) image in
+  let base_bytes = Speaker.snapshot base in
+  let a = Speaker.clone base in
+  let route =
+    Route.make ~origin:Attr.Igp
+      ~as_path:[ Asn.Path.Seq [ 64510; 64512 ] ]
+      ~next_hop:provider_side ()
+  in
+  let outcome =
+    Speaker.import_concolic ~ctx:(Dice_concolic.Engine.null ()) a ~peer:provider_side
+      (Croute.of_route (p "100.88.0.0/16") route)
+  in
+  Alcotest.(check bool) "clone A accepted the route" true outcome.Speaker.accepted;
+  Alcotest.(check bool) "clone A installed it" true
+    (Speaker.best_route a (p "100.88.0.0/16") <> None);
+  Alcotest.(check bytes) "the base is untouched" base_bytes (Speaker.snapshot base);
+  let b = Speaker.clone base in
+  Alcotest.(check bool) "clone B does not see A's route" true
+    (Speaker.best_route b (p "100.88.0.0/16") = None);
+  Alcotest.(check bool) "nor A's Adj-RIB-In" false
+    (Speaker.learned_from b ~peer:provider_side (p "100.88.0.0/16"));
+  Alcotest.(check bytes) "a fresh clone serializes to the restored image" image
+    (Speaker.snapshot (Speaker.clone base))
+
 let test_truncated_restore impl () =
   (* restore's contract is Invalid_argument on a corrupt image: every
      strict prefix of a real snapshot must fail through it and nothing
@@ -156,12 +198,30 @@ let test_freeze_captures_the_moment impl () =
 
 let test_explores_as_live_node impl () =
   (* the full checkpoint–symbolize–explore loop with this implementation
-     as the live node: freeze, concolic import over restored clones,
-     checking — nothing in the orchestrator may assume BIRD *)
-  let sp = upstream impl in
+     as the live node: freeze, concolic import over clones of a restored
+     base, checking — nothing in the orchestrator may assume BIRD. The
+     import filter branches on fields that leave the prefix alone, so
+     several accepted runs import the same prefix, whatever the
+     implementation instruments past the shared policy interpreter. *)
+  let sp =
+    upstream impl
+      ~provider_in:
+        "if bgp_path.last = 64666 then { bgp_local_pref = 90; accept; } \
+         if bgp_origin = 2 then { bgp_local_pref = 80; accept; } accept;"
+  in
+  (* every run must start from the checkpoint: a recording checker sees
+     each outcome, and its [previous_best] must be the live speaker's
+     best route for that prefix, never an earlier run's import *)
+  let outcomes = ref [] in
+  let recorder =
+    { Checker.name = "record";
+      check = (fun _ outcome -> outcomes := outcome :: !outcomes; []);
+    }
+  in
   let cfg =
     { Orchestrator.default_cfg with
-      Orchestrator.exploration =
+      Orchestrator.checkers = recorder :: Orchestrator.default_cfg.Orchestrator.checkers;
+      exploration =
         { Orchestrator.default_exploration with
           Orchestrator.explorer =
             { Dice_concolic.Explorer.default_config with
@@ -182,7 +242,20 @@ let test_explores_as_live_node impl () =
   Alcotest.(check int) "the seed was explored" 1
     (List.length report.Orchestrator.seed_reports);
   Alcotest.(check bytes) "exploration never touches the live speaker" before
-    (Speaker.snapshot sp)
+    (Speaker.snapshot sp);
+  let sr = List.hd report.Orchestrator.seed_reports in
+  Alcotest.(check bool) "several runs accepted, so runs crossed a re-clone" true
+    (sr.Orchestrator.runs_accepted >= 2);
+  Alcotest.(check int) "every run reached the checker"
+    (sr.Orchestrator.runs_accepted + sr.Orchestrator.runs_rejected)
+    (List.length !outcomes);
+  (* the live speaker is byte-identical to its checkpoint-time self *)
+  List.iter
+    (fun (o : Speaker.import_outcome) ->
+      if o.Speaker.previous_best <> Speaker.best_route sp o.Speaker.prefix then
+        Alcotest.failf "%s: a run saw %s's best route left by an earlier run" impl
+          (Prefix.to_string o.Speaker.prefix))
+    !outcomes
 
 (* ---- Local/Remote equivalence, per implementation (ISSUE 5: the new
    speaker must answer identically over both transports) ---- *)
@@ -390,6 +463,8 @@ let conformance impl =
     (impl ^ ": update-version counter", `Quick, test_version_counter impl);
     (impl ^ ": snapshot/restore roundtrip", `Quick, test_snapshot_restore_roundtrip impl);
     (impl ^ ": restored clones are isolated", `Quick, test_clone_isolation impl);
+    (impl ^ ": clones of a restored base are isolated", `Quick,
+      test_clone_of_restored_base impl);
     (impl ^ ": truncated images fail with Invalid_argument", `Quick,
       test_truncated_restore impl);
     (impl ^ ": freeze captures the moment", `Quick, test_freeze_captures_the_moment impl);
