@@ -221,7 +221,8 @@ let experiment_e1 () =
     (Bytes.length (Router.snapshot router) / 1024);
   (* checkpoint, then let the live router process the 15-minute tail *)
   let mgr = Fork.create () in
-  let cp = Fork.checkpoint mgr ~live_image:(Router.snapshot router) in
+  let checkpoint_image = Router.snapshot router in
+  let cp = Fork.checkpoint mgr ~live_image:checkpoint_image in
   let progress =
     Replay.feed_events router ~peer:tr_internet_addr
       ~next_hop:tr_internet_addr trace
@@ -258,7 +259,7 @@ let experiment_e1 () =
   List.iter
     (fun page_size ->
       let mgr = Fork.create ~page_size () in
-      let cp = Fork.checkpoint mgr ~live_image:(Fork.checkpoint_image cp) in
+      let cp = Fork.checkpoint mgr ~live_image:checkpoint_image in
       let u, f = Fork.checkpoint_stats cp ~live_image:(Router.snapshot router) in
       row "  %6d B pages: %5d unique (%.2f%%)\n" page_size u (100.0 *. f))
     [ 1024; 4096; 16384 ]
@@ -271,7 +272,8 @@ let throughput ~with_exploration ~updates =
   (* Within-run comparison: replay [updates] announcements; at the
      midpoint DiCE checkpoints and explores (when enabled). The
      exploration itself runs off the critical path (the paper gives the
-     explorer its own core), so the live node pays only for the freeze.
+     explorer its own core), so the live node pays only for the checkpoint
+     clone.
      Comparing the first half's throughput with the second half's, inside
      one run, removes cross-run heap and cache noise. *)
   let router, _, _ = loaded_provider ~n:(min 2_000 table_prefixes) () in

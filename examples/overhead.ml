@@ -1,7 +1,7 @@
 (* Memory and CPU overhead of online exploration (paper §4.1).
 
    Measures, on a router with a loaded table:
-   - checkpoint cost: unique pages of the frozen image vs. the live image
+   - checkpoint cost: unique pages of the checkpoint image vs. the live image
      after it kept processing updates;
    - explorer-clone cost: extra pages a clone dirties during exploration;
    - update throughput with and without concurrent exploration.

@@ -574,59 +574,34 @@ let encode_slot_payload w key payload_route src_opt =
   | None -> ());
   encode_route w payload_route
 
-(* A frozen image: O(#peers) to take, because the RIBs are persistent
-   tries — holding references to the current versions is exactly the
-   copy-on-write semantics of fork(). The live router may keep mutating;
-   this image stays consistent. Serialization happens later, off the
-   live node's critical path. *)
-type image = {
-  of_router : t;  (* slot map owner: keeps the byte layout stable *)
-  img_updates : int;
-  img_loc : Rib.Loc.t;
-  img_peers : (Ipv4.t * Fsm.state * bool * Rib.Adj.t * Rib.Adj.t) list;
-}
-
-let freeze t =
-  {
-    of_router = t;
-    img_updates = t.updates;
-    img_loc = t.loc;
-    img_peers =
-      Hashtbl.fold
-        (fun addr p acc -> (addr, p.fsm, p.as4, p.adj_in, p.adj_out) :: acc)
-        t.peers []
-      |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b);
-  }
-
 (* current entries of all tables, with their serialized payloads *)
-let live_entries img =
+let live_entries t =
   let out = ref [] in
   Rib.Loc.fold
     (fun prefix e () ->
       let w = Wbuf.create () in
       encode_slot_payload w (Slot_loc prefix) e.Rib.Loc.route (Some e.Rib.Loc.src);
       out := (Slot_loc prefix, Wbuf.contents w) :: !out)
-    img.img_loc ();
-  List.iter
-    (fun (addr, _, _, adj_in, adj_out) ->
+    t.loc ();
+  Hashtbl.iter
+    (fun addr p ->
       Rib.Adj.fold
         (fun prefix route () ->
           let w = Wbuf.create () in
           encode_slot_payload w (Slot_adj_in (addr, prefix)) route None;
           out := (Slot_adj_in (addr, prefix), Wbuf.contents w) :: !out)
-        adj_in ();
+        p.adj_in ();
       Rib.Adj.fold
         (fun prefix route () ->
           let w = Wbuf.create () in
           encode_slot_payload w (Slot_adj_out (addr, prefix)) route None;
           out := (Slot_adj_out (addr, prefix), Wbuf.contents w) :: !out)
-        adj_out ())
-    img.img_peers;
+        p.adj_out ())
+    t.peers;
   !out
 
-let serialize img =
-  let t = img.of_router in
-  let entries = live_entries img in
+let snapshot t =
+  let entries = live_entries t in
   let live = Hashtbl.create (List.length entries) in
   List.iter (fun (k, payload) -> Hashtbl.replace live k payload) entries;
   (* free slots whose entry disappeared *)
@@ -656,24 +631,27 @@ let serialize img =
         t.next_slot <- t.next_slot + 1)
     fresh;
   (* header *)
+  let peers =
+    Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) t.peers []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
   let header = Wbuf.create () in
   Wbuf.string header magic;
-  Wbuf.u32 header img.img_updates;
-  Wbuf.u16 header (List.length img.img_peers);
+  Wbuf.u32 header t.updates;
+  Wbuf.u16 header (List.length peers);
   List.iter
-    (fun (addr, fsm, as4, _, _) ->
+    (fun (addr, p) ->
       Wbuf.u32 header addr;
-      Wbuf.u8 header (fsm_code fsm);
-      Wbuf.u8 header (if as4 then 1 else 0))
-    img.img_peers;
+      Wbuf.u8 header (fsm_code p.fsm);
+      Wbuf.u8 header (if p.as4 then 1 else 0))
+    peers;
   Wbuf.u32 header t.next_slot;
   let header_bytes = Wbuf.contents header in
   let header_room = ((Bytes.length header_bytes / slot_size) + 1) * slot_size in
   (* slot region + overflow *)
   let region = Bytes.make (header_room + (t.next_slot * slot_size)) '\000' in
   Bytes.blit header_bytes 0 region 0 (Bytes.length header_bytes);
-  let overflow = Wbuf.create () in
-  let n_overflow = ref 0 in
+  let spilled = ref [] in
   Hashtbl.iter
     (fun k idx ->
       let payload = Hashtbl.find live k in
@@ -685,17 +663,19 @@ let serialize img =
       else begin
         (* oversized: mark the slot as spilled and store linearly *)
         Bytes.set region off '\002';
-        Wbuf.u16 overflow (Bytes.length payload);
-        Wbuf.bytes overflow payload;
-        incr n_overflow
+        spilled := (idx, payload) :: !spilled
       end)
     t.slots;
+  (* overflow payloads in slot order: restore hands them back to the
+     spilled slots in ascending index order *)
   let tail = Wbuf.create () in
-  Wbuf.u32 tail !n_overflow;
-  Wbuf.bytes tail (Wbuf.contents overflow);
+  Wbuf.u32 tail (List.length !spilled);
+  List.iter
+    (fun (_, payload) ->
+      Wbuf.u16 tail (Bytes.length payload);
+      Wbuf.bytes tail payload)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !spilled);
   Bytes.cat region (Wbuf.contents tail)
-
-let snapshot t = serialize (freeze t)
 
 let decode_slot_payload t r =
   let kind = Rbuf.u8 ~what:"slot kind" r in
@@ -775,10 +755,7 @@ let restore cfg image =
     let n_overflow = Rbuf.u32 ~what:"overflow count" tail in
     if n_overflow <> List.length !spilled then
       invalid_arg "Router.restore: overflow count does not match spilled slots";
-    (* spilled slots were recorded in Hashtbl.iter order at snapshot time;
-       we cannot recover that order, so overflow entries carry their own
-       payloads and we re-associate by decoding in file order and assigning
-       the spilled slot indices in ascending order (both sides sort) *)
+    (* overflow payloads are written in ascending slot order *)
     let spilled = List.sort Int.compare !spilled in
     List.iter
       (fun idx ->
@@ -794,15 +771,18 @@ let restore cfg image =
 (* In-process cloning                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Worker domains clone one shared checkpoint at once, so cloning only
+   reads [t]: [Hashtbl.to_seq] and [Hashtbl.copy], unlike [Hashtbl.iter],
+   leave the table's traversal flag alone. *)
 let clone t =
   let peers = Hashtbl.create (Hashtbl.length t.peers) in
-  Hashtbl.iter
-    (fun addr p ->
+  Seq.iter
+    (fun (addr, p) ->
       (* fresh mutable cell per peer; the Adj-RIB tries inside are
          persistent and stay physically shared with the live router *)
       Hashtbl.replace peers addr
         { pcfg = p.pcfg; fsm = p.fsm; adj_in = p.adj_in; adj_out = p.adj_out; as4 = p.as4 })
-    t.peers;
+    (Hashtbl.to_seq t.peers);
   {
     cfg = t.cfg;
     peers;

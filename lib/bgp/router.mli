@@ -3,9 +3,11 @@
 
     All side effects (messages to send, timers to arm) are returned as
     {!output} values, which keeps the daemon deterministic, testable, and
-    — crucially for DiCE — {e checkpointable}: {!snapshot} serializes all
-    dynamic state and {!restore} rebuilds an equivalent router, which is
-    how exploration clones are created from the live process image.
+    — crucially for DiCE — {e checkpointable}: {!clone} copies the
+    router in memory, which is how the live process is checkpointed and
+    how exploration clones are made; {!snapshot} serializes all dynamic
+    state (the page image the memory accounting counts) and {!restore}
+    rebuilds an equivalent router from it.
 
     Update processing is written against the concolic value API; with the
     default null context it runs purely concretely ("virtually no
@@ -86,22 +88,12 @@ val import_concolic :
 
 (** {1 Checkpointing} *)
 
-type image
-(** A frozen, consistent view of the router's dynamic state. Taking one
-    is O(#peers) — the RIBs are persistent tries, so holding references
-    is the in-process equivalent of fork()'s copy-on-write. *)
-
-val freeze : t -> image
-(** Checkpoint instantly; the live router may keep mutating. *)
-
-val serialize : image -> bytes
-(** Serialize a frozen image deterministically (typically off the live
-    node's critical path). The byte layout is slot-stable: unchanged
-    entries occupy the same offsets across snapshots of the same
-    router. *)
-
 val snapshot : t -> bytes
-(** [serialize (freeze t)]. *)
+(** Serialize all dynamic state deterministically. The byte layout is
+    slot-stable: every RIB entry keeps its slot across snapshots of the
+    same router, so unchanged entries occupy the same offsets. Taking a
+    snapshot updates the router's slot map (and nothing else); to
+    checkpoint a live router without touching it, snapshot a {!clone}. *)
 
 val restore : Config_types.t -> bytes -> t
 (** Rebuild a router from a snapshot taken of a router with the same
@@ -110,8 +102,10 @@ val restore : Config_types.t -> bytes -> t
 val clone : t -> t
 (** An independent in-process copy sharing all RIB storage with the
     live router: the Loc-RIB, every Adj-RIB-In/Out and the static table
-    are persistent tries, so the clone holds references — O(#peers),
-    no serialization. Mutating either side copies only the touched
-    path ({!Dice_inet.Prefix_trie} structural sharing); everything else
-    stays physically shared. This is the explorer-clone path: memory
-    per clone is the write set, not the table. *)
+    are persistent tries, so the clone holds references — no
+    serialization. Mutating either side copies only the touched path
+    ({!Dice_inet.Prefix_trie} structural sharing); everything else stays
+    physically shared. This is the checkpoint and explorer-clone path:
+    memory per clone is the write set, not the table. The clone copies
+    the slot map, so it costs O(#peers) on a router that was never
+    snapshotted and O(#slots) once it has been. *)

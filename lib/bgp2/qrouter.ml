@@ -334,17 +334,17 @@ let learned_from t ~peer prefix =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing: an eager linear image. Layout ("QRTRSNP1" magic):    *)
+(* Checkpointing: an eager linear image. Layout ("QRTRSNP2" magic):    *)
 (*   u32 updates                                                       *)
 (*   u16 #peers, each (sorted by address):                             *)
-(*     u32 address | u8 up | u16 #rin entries | u16 #rout entries      *)
+(*     u32 address | u8 up | u32 #rin entries | u32 #rout entries      *)
 (*     then each entry: prefix (u8 len, u32 network) | u16 attr-bytes  *)
 (*     | encoded path attributes                                       *)
-(*   u16 #main-table entries, each: prefix | attrs | u32 src address   *)
+(*   u32 #main-table entries, each: prefix | attrs | u32 src address   *)
 (*     | u32 src ASN | u32 src router id | u8 ebgp                     *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "QRTRSNP1"
+let magic = "QRTRSNP2"
 
 let put_prefix b prefix =
   Wbuf.u8 b (Prefix.len prefix);
@@ -388,7 +388,7 @@ let snapshot t =
       Wbuf.u8 b (if p.up then 1 else 0);
       let put_adj tbl =
         let entries = sorted_entries tbl in
-        Wbuf.u16 b (List.length entries);
+        Wbuf.u32 b (List.length entries);
         List.iter
           (fun (prefix, route) ->
             put_prefix b prefix;
@@ -399,7 +399,7 @@ let snapshot t =
       put_adj p.rout)
     peers;
   let entries = sorted_entries t.main in
-  Wbuf.u16 b (List.length entries);
+  Wbuf.u32 b (List.length entries);
   List.iter
     (fun (prefix, (e : Rib.Loc.entry)) ->
       put_prefix b prefix;
@@ -432,7 +432,7 @@ let restore cfg image =
       in
       p.up <- Rbuf.u8 ~what:"session flag" r = 1;
       let get_adj tbl =
-        let n = Rbuf.u16 ~what:"adj entry count" r in
+        let n = Rbuf.u32 ~what:"adj entry count" r in
         for _ = 1 to n do
           let prefix = get_prefix r in
           Hashtbl.replace tbl prefix (get_route r)
@@ -441,7 +441,7 @@ let restore cfg image =
       get_adj p.rin;
       get_adj p.rout
     done;
-    let n_main = Rbuf.u16 ~what:"table entry count" r in
+    let n_main = Rbuf.u32 ~what:"table entry count" r in
     for _ = 1 to n_main do
       let prefix = get_prefix r in
       let route = get_route r in
@@ -458,12 +458,15 @@ let restore cfg image =
 (* An independent in-process copy. Zebra-style state is mutable hash
    tables, so — true to the heterogeneity — there is nothing persistent
    to share: every bucket is copied eagerly. Still far cheaper than
-   snapshot + parse (no serialization, route values are shared). *)
+   snapshot + parse (no serialization, route values are shared). It only
+   reads [t] — [Hashtbl.to_seq] and [Hashtbl.copy], unlike [Hashtbl.iter],
+   leave the traversal flag alone — because worker domains clone one
+   shared checkpoint at once. *)
 let clone t =
   let peers = Hashtbl.create (Hashtbl.length t.peers) in
-  Hashtbl.iter
-    (fun addr p ->
+  Seq.iter
+    (fun (addr, p) ->
       Hashtbl.replace peers addr
         { pcfg = p.pcfg; up = p.up; rin = Hashtbl.copy p.rin; rout = Hashtbl.copy p.rout })
-    t.peers;
+    (Hashtbl.to_seq t.peers);
   { cfg = t.cfg; peers; main = Hashtbl.copy t.main; statics = t.statics; updates = t.updates }

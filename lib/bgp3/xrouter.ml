@@ -382,20 +382,20 @@ let learned_from t ~peer prefix =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing: an eager linear image ("XRTRSNP1" magic), the same   *)
+(* Checkpointing: an eager linear image ("XRTRSNP2" magic), the same   *)
 (* framing conventions as the Quagga flavor's but a mutually alien     *)
 (* layout:                                                             *)
 (*   u32 updates                                                       *)
 (*   u16 #peers, each (map order = sorted by address):                 *)
 (*     u32 address | u8 flags (bit0 up, bit1 RibOut materialized)      *)
-(*     u16 #rin entries, each: prefix (u8 len, u32 network)            *)
+(*     u32 #rin entries, each: prefix (u8 len, u32 network)            *)
 (*       | u16 attr-bytes | encoded path attributes                    *)
-(*     if materialized: u16 #rout entries, same shape                  *)
-(*   u16 #main-table entries, each: prefix | attrs | u32 src address   *)
+(*     if materialized: u32 #rout entries, same shape                  *)
+(*   u32 #main-table entries, each: prefix | attrs | u32 src address   *)
 (*     | u32 src ASN | u32 src router id | u8 ebgp                     *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "XRTRSNP1"
+let magic = "XRTRSNP2"
 
 let put_prefix b prefix =
   Wbuf.u8 b (Prefix.len prefix);
@@ -424,7 +424,7 @@ let get_route r =
   end
 
 let put_adj b adj =
-  Wbuf.u16 b (Pmap.cardinal adj);
+  Wbuf.u32 b (Pmap.cardinal adj);
   Pmap.iter
     (fun prefix route ->
       put_prefix b prefix;
@@ -432,7 +432,7 @@ let put_adj b adj =
     adj
 
 let get_adj r =
-  let n = Rbuf.u16 ~what:"adj entry count" r in
+  let n = Rbuf.u32 ~what:"adj entry count" r in
   let adj = ref Pmap.empty in
   for _ = 1 to n do
     let prefix = get_prefix r in
@@ -452,7 +452,7 @@ let snapshot t =
       put_adj b p.rin;
       match p.rout with Some rout -> put_adj b rout | None -> ())
     t.peers;
-  Wbuf.u16 b (Pmap.cardinal t.main);
+  Wbuf.u32 b (Pmap.cardinal t.main);
   Pmap.iter
     (fun prefix (e : Rib.Loc.entry) ->
       put_prefix b prefix;
@@ -488,7 +488,7 @@ let restore cfg image =
       p.rin <- get_adj r;
       p.rout <- (if flags land 2 = 2 then Some (get_adj r) else None)
     done;
-    let n_main = Rbuf.u16 ~what:"table entry count" r in
+    let n_main = Rbuf.u32 ~what:"table entry count" r in
     let main = ref Pmap.empty in
     for _ = 1 to n_main do
       let prefix = get_prefix r in

@@ -29,7 +29,7 @@
     - {b sessions}: administratively established, like the Quagga
       flavor (the FSM is not part of the narrow interface).
 
-    Checkpoints are eager linear images ("XRTRSNP1" magic) with the
+    Checkpoints are eager linear images ("XRTRSNP2" magic) with the
     same framing conventions as the Quagga flavor's; the two formats
     are mutually alien on purpose — {!restore} rejects foreign magic.  *)
 

@@ -1,48 +1,29 @@
-type manager = { st : Store.t; clones : int Atomic.t }
+type manager = Store.t
 
 let create ?page_size ?store () =
-  let st =
-    match store with
-    | Some st ->
-      (match page_size with
-      | Some ps when ps <> Store.page_size st ->
-        invalid_arg "Fork.create: page_size conflicts with the shared store's"
-      | Some _ | None -> ());
-      st
-    | None -> Store.create ?page_size ()
-  in
-  { st; clones = Atomic.make 0 }
+  match store with
+  | Some st ->
+    (match page_size with
+    | Some ps when ps <> Store.page_size st ->
+      invalid_arg "Fork.create: page_size conflicts with the shared store's"
+    | Some _ | None -> ());
+    st
+  | None -> Store.create ?page_size ()
 
-let store m = m.st
+let store m = m
 
-type checkpoint = { mgr : manager; snap : Store.snapshot }
+type checkpoint = { st : Store.t; snap : Store.snapshot }
 
-let checkpoint m ~live_image = { mgr = m; snap = Store.capture m.st live_image }
+let checkpoint st ~live_image = { st; snap = Store.capture st live_image }
 
 let checkpoint_stats cp ~live_image =
-  let live = Store.capture cp.mgr.st live_image in
+  let live = Store.capture cp.st live_image in
   let unique = Store.unique_pages cp.snap ~relative_to:live in
   let frac = Store.unique_fraction cp.snap ~relative_to:live in
   Store.release live;
   (unique, frac)
 
 let drop_checkpoint cp = Store.release cp.snap
-
-let checkpoint_image cp = Store.restore cp.snap
-
-type clone = {
-  cp : checkpoint;
-  mutable snap : Store.snapshot option;  (* None once finished *)
-}
-
-let spawn cp =
-  Atomic.incr cp.mgr.clones;
-  { cp; snap = Some (Store.clone cp.snap) }
-
-let image c =
-  match c.snap with
-  | Some s -> Store.restore s
-  | None -> invalid_arg "Fork.image: clone finished"
 
 type clone_stats = {
   pages : int;
@@ -51,22 +32,12 @@ type clone_stats = {
   extra_fraction : float;
 }
 
-let finish c ~final_image =
-  match c.snap with
-  | None -> invalid_arg "Fork.finish: clone already finished"
-  | Some s ->
-    let final = Store.capture c.cp.mgr.st final_image in
-    let pages = Store.snapshot_pages final in
-    let unique = Store.unique_pages final ~relative_to:c.cp.snap in
-    let unique_fraction = Store.unique_fraction final ~relative_to:c.cp.snap in
-    let base = Store.snapshot_pages c.cp.snap in
-    let extra_fraction =
-      if base = 0 then 0.0 else float_of_int unique /. float_of_int base
-    in
-    Store.release final;
-    Store.release s;
-    c.snap <- None;
-    Atomic.decr c.cp.mgr.clones;
-    { pages; unique; unique_fraction; extra_fraction }
-
-let live_clones m = Atomic.get m.clones
+let footprint cp ~final_image =
+  let final = Store.capture cp.st final_image in
+  let pages = Store.snapshot_pages final in
+  let unique = Store.unique_pages final ~relative_to:cp.snap in
+  let unique_fraction = Store.unique_fraction final ~relative_to:cp.snap in
+  let base = Store.snapshot_pages cp.snap in
+  let extra_fraction = if base = 0 then 0.0 else float_of_int unique /. float_of_int base in
+  Store.release final;
+  { pages; unique; unique_fraction; extra_fraction }

@@ -1,11 +1,12 @@
-(** Process-style checkpoint/clone lifecycle over the CoW {!Store}.
+(** Checkpoint page accounting over the CoW {!Store}.
 
-    Mirrors how the DiCE prototype checkpoints BIRD: [checkpoint] is the
-    [fork()] that freezes the live process image; each exploration then
-    [spawn]s a clone of that checkpoint, runs, and [finish]es with its
-    final (mutated) image, at which point the clone's copy-on-write cost —
-    unique pages relative to the checkpoint — is assessed and the clone's
-    memory is reclaimed. *)
+    Mirrors how the DiCE prototype measures its [fork()]-based
+    checkpoints: [checkpoint] captures the pages of the checkpointed
+    process image, {!checkpoint_stats} counts how far the live image has
+    drifted from them, and {!footprint} counts the pages an explorer
+    clone's final image does not share with them — its copy-on-write
+    cost. The copies themselves are in-memory speaker clones; this
+    module only counts their pages. *)
 
 type manager
 
@@ -22,7 +23,7 @@ val store : manager -> Store.t
 type checkpoint
 
 val checkpoint : manager -> live_image:bytes -> checkpoint
-(** Freeze the live process image. *)
+(** Capture the pages of the checkpointed process image. *)
 
 val checkpoint_stats : checkpoint -> live_image:bytes -> int * float
 (** [(unique, fraction)]: pages of the checkpoint not shared with the
@@ -30,18 +31,6 @@ val checkpoint_stats : checkpoint -> live_image:bytes -> int * float
     unique memory pages" metric. *)
 
 val drop_checkpoint : checkpoint -> unit
-
-val checkpoint_image : checkpoint -> bytes
-(** The frozen image. *)
-
-type clone
-
-val spawn : checkpoint -> clone
-(** Fork an exploration process from the checkpoint (cheap: all pages
-    shared). *)
-
-val image : clone -> bytes
-(** The clone's initial image (equal to the checkpoint's). *)
 
 type clone_stats = {
   pages : int;  (** size of the clone's final image, in pages *)
@@ -52,7 +41,6 @@ type clone_stats = {
           paper's "36.93% more pages" metric *)
 }
 
-val finish : clone -> final_image:bytes -> clone_stats
-(** Assess CoW cost and reclaim the clone. A clone can be finished once. *)
-
-val live_clones : manager -> int
+val footprint : checkpoint -> final_image:bytes -> clone_stats
+(** The copy-on-write cost of an explorer clone whose image is now
+    [final_image]: its pages counted against the checkpoint's. *)

@@ -11,8 +11,7 @@ let split ~page_size b =
     if off >= total then List.rev acc
     else begin
       let len = min page_size (total - off) in
-      let page = Bytes.sub b off len in
-      go (off + len) ((id_of b off len, page) :: acc)
+      go (off + len) (id_of b off len :: acc)
     end
   in
   if total = 0 then [] else go 0 []

@@ -16,9 +16,9 @@ type id = private { hash : int64; len : int }
 val id_of : bytes -> int -> int -> id
 (** [id_of buf off len] identifies the page [buf.(off .. off+len-1)]. *)
 
-val split : page_size:int -> bytes -> (id * bytes) list
+val split : page_size:int -> bytes -> id list
 (** Carve a byte sequence into pages of [page_size] (last page may be
-    short) and identify each. *)
+    short) and identify each, in address order. *)
 
 val count : page_size:int -> int -> int
 (** Number of pages needed for a state of the given byte size. *)

@@ -1,13 +1,12 @@
 type key = int64 * int
 
-type entry = { data : bytes; mutable refs : int }
-
 type t = {
   page_size : int;
   lock : Mutex.t;
-      (* one store backs every clone of a checkpoint; parallel seed
-         explorations capture/clone/release from separate domains *)
-  pages : (key, entry) Hashtbl.t;
+      (* one store backs a checkpoint and every clone footprint counted
+         against it; parallel seed explorations capture/release from
+         separate domains *)
+  pages : (key, int) Hashtbl.t;  (* resident page -> reference count *)
   mutable live : int;
   (* dedup accounting across every capture this store ever served — how
      the fleet measures that checkpoint pages are shared across explorer
@@ -20,7 +19,6 @@ type t = {
 type snapshot = {
   store : t;
   table : Page.id array;  (* page ids in address order *)
-  total_len : int;
   mutable released : bool;
 }
 
@@ -49,13 +47,14 @@ let capture t state =
   locked t (fun () ->
       let table =
         List.map
-          (fun ((id : Page.id), data) ->
-            (match Hashtbl.find_opt t.pages (key_of id) with
-            | Some e ->
-              e.refs <- e.refs + 1;
+          (fun id ->
+            let k = key_of id in
+            (match Hashtbl.find_opt t.pages k with
+            | Some refs ->
+              Hashtbl.replace t.pages k (refs + 1);
               t.page_hits <- t.page_hits + 1
             | None ->
-              Hashtbl.add t.pages (key_of id) { data; refs = 1 };
+              Hashtbl.add t.pages k 1;
               t.page_inserts <- t.page_inserts + 1);
             id)
           pages
@@ -63,31 +62,7 @@ let capture t state =
       in
       t.captures <- t.captures + 1;
       t.live <- t.live + 1;
-      { store = t; table; total_len = Bytes.length state; released = false })
-
-let restore s =
-  locked s.store (fun () ->
-      if s.released then invalid_arg "Store.restore: snapshot released";
-      let out = Bytes.create s.total_len in
-      let off = ref 0 in
-      Array.iter
-        (fun (id : Page.id) ->
-          let e = Hashtbl.find s.store.pages (key_of id) in
-          Bytes.blit e.data 0 out !off id.len;
-          off := !off + id.len)
-        s.table;
-      out)
-
-let clone s =
-  locked s.store (fun () ->
-      if s.released then invalid_arg "Store.clone: snapshot released";
-      Array.iter
-        (fun id ->
-          let e = Hashtbl.find s.store.pages (key_of id) in
-          e.refs <- e.refs + 1)
-        s.table;
-      s.store.live <- s.store.live + 1;
-      { s with released = false })
+      { store = t; table; released = false })
 
 let release s =
   locked s.store (fun () ->
@@ -97,9 +72,9 @@ let release s =
       Array.iter
         (fun id ->
           let k = key_of id in
-          let e = Hashtbl.find s.store.pages k in
-          e.refs <- e.refs - 1;
-          if e.refs = 0 then Hashtbl.remove s.store.pages k)
+          let refs = Hashtbl.find s.store.pages k - 1 in
+          if refs = 0 then Hashtbl.remove s.store.pages k
+          else Hashtbl.replace s.store.pages k refs)
         s.table)
 
 let snapshot_pages s = Array.length s.table

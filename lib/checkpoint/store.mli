@@ -1,17 +1,20 @@
-(** Copy-on-write snapshot store.
+(** Copy-on-write page accounting.
 
-    A {!snapshot} is an immutable image of a serialized state; taking one
-    from a nearly-identical state shares pages with every image already in
-    the store. This is the reproduction's stand-in for checkpointing via
-    [fork()] (paper §3.2): checkpoints are cheap because the live process
-    and its checkpoint share all pages; explorer clones pay only for the
-    pages they touch. *)
+    A {!snapshot} is the page table of a serialized state: the content
+    identity of each page, in address order. Taking one from a
+    nearly-identical state shares pages with every image already in the
+    store. This is how the reproduction measures its stand-in for
+    checkpointing via [fork()] (paper §3.2): checkpoints are cheap
+    because the live process and its checkpoint share all pages; explorer
+    clones pay only for the pages they touch. The store only counts
+    pages — it keeps their identities and reference counts, never their
+    bytes, so an image cannot be reassembled from it. *)
 
 type t
-(** The store: refcounted page contents keyed by content identity. *)
+(** The store: refcounted page identities. *)
 
 type snapshot
-(** An immutable page-table over the store. Release with {!release}. *)
+(** An immutable page table over the store. Release with {!release}. *)
 
 val create : ?page_size:int -> unit -> t
 (** [page_size] defaults to {!Page.default_size}. *)
@@ -21,12 +24,6 @@ val page_size : t -> int
 val capture : t -> bytes -> snapshot
 (** Snapshot a serialized state. Pages already present are shared, new
     pages are inserted with refcount 1. *)
-
-val restore : snapshot -> bytes
-(** Reassemble the serialized state. *)
-
-val clone : snapshot -> snapshot
-(** Cheap logical copy (all pages shared; refcounts bumped). *)
 
 val release : snapshot -> unit
 (** Drop a snapshot; pages with no remaining references are evicted.
@@ -50,7 +47,7 @@ val stored_pages : t -> int
 (** Distinct page contents currently resident. *)
 
 val resident_bytes : t -> int
-(** Total bytes of distinct resident pages. *)
+(** Total bytes the distinct resident pages stand for. *)
 
 val live_snapshots : t -> int
 

@@ -19,7 +19,6 @@ type seed = {
 
 type exploration = {
   explorer : Explorer.config;
-  page_size : int;
   mode : Symbolize.mode;
   max_seeds : int;
   clone_samples : int;
@@ -45,14 +44,6 @@ type cfg = {
   faults : faults;
 }
 
-let exploration ~explorer ~page_size ~mode ~max_seeds ~clone_samples ~jobs =
-  if page_size <= 0 then invalid_arg "Orchestrator.exploration: page_size must be positive";
-  if max_seeds < 0 then invalid_arg "Orchestrator.exploration: max_seeds must be >= 0";
-  if clone_samples < 0 then
-    invalid_arg "Orchestrator.exploration: clone_samples must be >= 0";
-  if jobs < 1 then invalid_arg "Orchestrator.exploration: jobs must be >= 1";
-  { explorer; page_size; mode; max_seeds; clone_samples; jobs }
-
 let federation ~agents ~probe_jobs =
   if probe_jobs < 1 then invalid_arg "Orchestrator.federation: probe_jobs must be >= 1";
   { agents; probe_jobs }
@@ -69,7 +60,6 @@ let faults ?node ?(crash_seed = Dice_sim.Network.default_crash_seed) ~probe ~see
 let default_exploration =
   {
     explorer = { Explorer.default_config with Explorer.max_runs = 96; max_depth = 64 };
-    page_size = Dice_checkpoint.Page.default_size;
     mode = Symbolize.Selective;
     max_seeds = 4;
     clone_samples = 4;
@@ -197,7 +187,7 @@ let dedup_faults faults =
       end)
     faults
 
-let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
+let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
   let ex = t.cfg.exploration in
   (* the clone's outputs come back as values and are counted here; none
      is ever put on a network *)
@@ -205,9 +195,8 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
   (* the engine's accumulated in-memory state (constraints recorded across
      all runs so far): part of a forked explorer's footprint *)
   let meta_buf = Buffer.create 1024 in
-  (* the checkpoint restored once per seed; every run that follows an
-     accepted one gets a fresh in-memory clone of it, never the base *)
-  let base = Speaker.restore_like t.live real (Fork.checkpoint_image checkpoint) in
+  (* the first run, and every run that follows an accepted one, gets a
+     fresh in-memory clone of the checkpoint, never the checkpoint itself *)
   let clone = ref (Speaker.clone base) in
   let dirty = ref false in
   let faults = ref [] in
@@ -243,12 +232,11 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
       let power_of_two n = n land (n - 1) = 0 in
       if !sampled < ex.clone_samples && power_of_two !accepted then begin
         incr sampled;
-        let fclone = Fork.spawn checkpoint in
         let final =
           Bytes.cat (Speaker.snapshot !clone)
             (Bytes.of_string (Buffer.contents meta_buf))
         in
-        clone_stats := Fork.finish fclone ~final_image:final :: !clone_stats
+        clone_stats := Fork.footprint checkpoint ~final_image:final :: !clone_stats
       end
     end
     else incr rejected;
@@ -326,27 +314,25 @@ let take n l =
 let explore t =
   let ex = t.cfg.exploration in
   let t0 = Unix.gettimeofday () in
-  let real = Speaker.realization t.live in
-  (* only this runs on the live node's critical path: freezing the
-     process image — the in-process equivalent of fork()'s page-table
-     copy; the speaker decides how cheap it can make it *)
-  let serialize_frozen = Speaker.freeze t.live in
-  let pre_loc = Speaker.loc_rib t.live in
+  (* only this runs on the live node's critical path: cloning the live
+     speaker — the in-process equivalent of fork()'s page-table copy; the
+     speaker decides how cheap it can make it *)
+  let base = Speaker.clone t.live in
   let checkpoint_seconds = Unix.gettimeofday () -. t0 in
-  (* from here on the explorer does the work: serialization included *)
-  let live_image = serialize_frozen () in
-  let mgr = Fork.create ~page_size:ex.page_size () in
-  let checkpoint = Fork.checkpoint mgr ~live_image in
+  (* from here on the explorer does the work, on the checkpoint alone *)
+  let pre_loc = Speaker.loc_rib base in
+  let live_image = Speaker.snapshot base in
+  let checkpoint = Fork.checkpoint (Fork.create ()) ~live_image in
   let seeds = take ex.max_seeds t.rev_seeds in
   t.rev_seeds <- [];
-  (* Seed explorations are independent — each restores its own base speaker
-     from the shared checkpoint image and explores on clones of it — so they
-     can run on separate domains.
+  (* Seed explorations are independent — each explores on its own clones of
+     the shared checkpoint, which nothing mutates from here on — so they can
+     run on separate domains.
      [Pool.map] keeps report order equal to seed order whatever the
      schedule. *)
   let seed_reports =
     Dice_exec.Pool.map ~jobs:(max 1 ex.jobs)
-      (fun s -> explore_seed t ~checkpoint ~real ~pre_loc s)
+      (fun s -> explore_seed t ~checkpoint ~base ~pre_loc s)
       seeds
   in
   let all_faults =
@@ -356,7 +342,8 @@ let explore t =
     seed_reports;
     faults = all_faults;
     checkpoint_pages =
-      Dice_checkpoint.Page.count ~page_size:ex.page_size (Bytes.length live_image);
+      Dice_checkpoint.Page.count ~page_size:Dice_checkpoint.Page.default_size
+        (Bytes.length live_image);
     live_image_bytes = Bytes.length live_image;
     wall_seconds = Unix.gettimeofday () -. t0;
     checkpoint_seconds;

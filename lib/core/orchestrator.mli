@@ -2,9 +2,8 @@
     (paper §2.3).
 
     Against a {e live} speaker (any {!Speaker.S} implementation) it:
-    + takes a page-granular checkpoint of the live process image,
-    + restores the checkpoint once per seed and explores on in-memory
-      clones of that base,
+    + checkpoints the live speaker with one in-memory {!Speaker.clone},
+    + explores every seed on fresh clones of that checkpoint,
     + feeds each clone a previously observed input with selected fields
       symbolized,
     + lets the concolic engine negate recorded branch predicates to
@@ -14,11 +13,12 @@
       exploration traffic, and
     + runs fault checkers against every explored outcome.
 
-    The live speaker is never mutated. Each seed restores one base
-    speaker from the checkpoint image ({!Speaker.restore_like}, so it is
-    of the same implementation); the first run, and every run after an
-    accepted one, executes on a fresh {!Speaker.clone} of that base, so
-    every run starts from the checkpointed state. The checkpoint's pages
+    The live speaker is never mutated, and cloning it is the only work
+    on its critical path. The checkpoint is never mutated either: the
+    first run of each seed, and every run after an accepted one, executes
+    on a fresh {!Speaker.clone} of it, so every run starts from the
+    checkpointed state. The checkpoint's serialized pages
+    ({!Speaker.snapshot} of the checkpoint, taken off the critical path)
     serve only the memory accounting ([checkpoint_pages] and the
     clone-footprint samples). *)
 
@@ -40,21 +40,19 @@ type seed = {
     ({!federation}), and what chaos to inject on their wires
     ({!faults}) — following the constructor convention documented in
     {!Checker}: validating smart constructors with required labelled
-    arguments, and defaults exported as values ({!default_exploration}
-    and friends), so a call site writes
-    [{ default_exploration with max_seeds = 8 }] or builds a validated
-    record from scratch. *)
+    arguments where a group has invariants, and defaults exported as
+    values ({!default_exploration} and friends), so a call site writes
+    [{ default_exploration with max_seeds = 8 }]. *)
 
 type exploration = {
   explorer : Explorer.config;
-  page_size : int;
   mode : Symbolize.mode;
   max_seeds : int;  (** most recent seeds explored per {!explore} call *)
   clone_samples : int;  (** CoW-cost samples collected per seed *)
   jobs : int;
       (** worker domains for seed-level parallelism: each pending seed
-          restores its own base speaker from the shared checkpoint and
-          explores on clones of it, [jobs] at a time. [1] (the default)
+          explores on its own clones of the shared checkpoint, [jobs] at
+          a time. [1] (the default)
           keeps everything on the calling domain. Report order always
           equals seed order. *)
 }
@@ -104,17 +102,6 @@ type cfg = {
   faults : faults;
 }
 
-val exploration :
-  explorer:Explorer.config ->
-  page_size:int ->
-  mode:Symbolize.mode ->
-  max_seeds:int ->
-  clone_samples:int ->
-  jobs:int ->
-  exploration
-(** Validating constructor. @raise Invalid_argument on a non-positive
-    [page_size] or [jobs], or a negative [max_seeds]/[clone_samples]. *)
-
 val federation : agents:Distributed.agent list -> probe_jobs:int -> federation
 (** @raise Invalid_argument if [probe_jobs < 1]. *)
 
@@ -130,8 +117,8 @@ val faults :
     [crash_seed] defaults to {!Dice_sim.Network.default_crash_seed}. *)
 
 val default_exploration : exploration
-(** DFS explorer (96 runs, depth 64), 4 KiB pages, selective
-    symbolization, 4 seeds, 4 clone samples, 1 job. *)
+(** DFS explorer (96 runs, depth 64), selective symbolization, 4 seeds,
+    4 clone samples, 1 job. *)
 
 val default_federation : federation
 (** No agents, 1 probe job. *)
@@ -178,7 +165,9 @@ type report = {
   seed_reports : seed_report list;
   faults : Checker.fault list;  (** deduplicated across seeds *)
   checkpoint_pages : int;
-  live_image_bytes : int;
+      (** {!Dice_checkpoint.Page.default_size} pages of the checkpoint's
+          snapshot *)
+  live_image_bytes : int;  (** bytes of the checkpoint's snapshot *)
   wall_seconds : float;
   checkpoint_seconds : float;
       (** the live node's critical-path share of [wall_seconds]: taking

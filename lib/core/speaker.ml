@@ -42,7 +42,7 @@ module type S = sig
   val best_route : t -> Prefix.t -> Rib.Loc.entry option
   val learned_from : t -> peer:Ipv4.t -> Prefix.t -> bool
   val updates_processed : t -> int
-  val freeze : t -> unit -> bytes
+  val snapshot : t -> bytes
   val restore : realization -> bytes -> t
   val clone : t -> t
 end
@@ -73,8 +73,7 @@ let loc_rib (Inst ((module M), _, t)) = M.loc_rib t
 let best_route (Inst ((module M), _, t)) prefix = M.best_route t prefix
 let learned_from (Inst ((module M), _, t)) ~peer prefix = M.learned_from t ~peer prefix
 let updates_processed (Inst ((module M), _, t)) = M.updates_processed t
-let freeze (Inst ((module M), _, t)) = M.freeze t
-let snapshot inst = freeze inst ()
+let snapshot (Inst ((module M), _, t)) = M.snapshot t
 
 let restore_like (Inst ((module M), _, _)) real image =
   Inst ((module M), real, M.restore real image)

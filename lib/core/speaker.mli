@@ -23,13 +23,15 @@
       outputs are [(peer, message)] pairs, because messages are all the
       core ever forwards, intercepts, or counts; timers, socket
       operations and session transitions are implementation business;
-    - {b snapshot / clone live state}: {!S.freeze} checkpoints the
-      speaker instantly and returns a serialization thunk (run off the
-      live node's critical path), {!snapshot} is the eager form,
-      {!S.restore} rebuilds an equivalent speaker from the bytes, and
-      {!S.clone} copies one in memory — how exploration and probing get
-      disposable speakers without touching the live node. The byte
-      format is the implementation's own; the core treats it as opaque;
+    - {b clone / snapshot live state}: {!S.clone} copies a speaker in
+      memory — the one checkpoint primitive: the orchestrator's
+      checkpoint is a clone of the live speaker, and exploration runs
+      and probes get disposable clones of it without touching the live
+      node. {!S.snapshot} serializes a speaker (the page image the
+      memory accounting counts, and what crash recovery and validation
+      rebuild from) and {!S.restore} rebuilds an equivalent speaker from
+      the bytes. The byte format is the implementation's own; the core
+      treats it as opaque;
     - {b report per-prefix verdicts}: {!S.loc_rib}, {!S.best_route} and
       {!S.learned_from} expose exactly the read-only views the probe
       path needs to compute origin/best-route {!Verdict.t}s;
@@ -146,12 +148,12 @@ module type S = sig
       a message may have changed answerable state. Verdict caches key
       their entries on it. *)
 
-  val freeze : t -> unit -> bytes
-  (** Checkpoint now, serialize later: the returned thunk produces the
-      state as of the [freeze] call, whatever the live speaker does in
-      between. Implementations with persistent structures freeze in
-      O(#peers); others may serialize eagerly and return a constant
-      thunk. *)
+  val snapshot : t -> bytes
+  (** Serialize the speaker's dynamic state deterministically. Must not
+      change what the speaker answers; it may update layout bookkeeping
+      (BIRD's slot map), which is why the orchestrator snapshots its
+      checkpoint, a {!clone} of the live speaker, rather than the live
+      speaker itself. *)
 
   val restore : realization -> bytes -> t
   (** Rebuild a speaker from a snapshot taken of a speaker {e of the
@@ -165,14 +167,16 @@ module type S = sig
       implementations backed by persistent structures (tries, balanced
       maps) share all route storage and copy only mutable cells
       (O(#peers)); mutable-table implementations copy buckets eagerly.
-      Either way there is no serialization: this is the explorer-clone
-      path, where per-clone memory should be the write set, not the
-      table. Feeding the clone, or running {!import_concolic} on it,
-      must never affect the original: exploration restores one base per
-      seed and runs every import on a clone of it, so a leak would carry
-      one run's writes into the next. A fresh clone also serializes to
-      the same bytes as the original, which the clone-footprint page
-      accounting relies on. *)
+      Either way there is no serialization: this is the checkpoint and
+      explorer-clone path, where per-clone memory should be the write
+      set, not the table. Feeding the clone, or running
+      {!import_concolic} on it, must never affect the original, and
+      feeding the original must never reach the clone: the checkpoint is
+      a clone of the live speaker that the live speaker keeps updating
+      past, and every exploration run imports into a clone of that
+      checkpoint, so a leak either way would carry writes across runs.
+      A fresh clone also serializes to the same bytes as the original,
+      which the clone-footprint page accounting relies on. *)
 end
 
 type instance = Inst : (module S with type t = 'a) * realization * 'a -> instance
@@ -217,23 +221,20 @@ val loc_rib : instance -> Rib.Loc.t
 val best_route : instance -> Prefix.t -> Rib.Loc.entry option
 val learned_from : instance -> peer:Ipv4.t -> Prefix.t -> bool
 val updates_processed : instance -> int
-val freeze : instance -> unit -> bytes
-
 val snapshot : instance -> bytes
-(** [freeze inst ()] — checkpoint and serialize in one step. *)
 
 val clone : instance -> instance
-(** {!S.clone} under the same module and realization — how a probe takes
-    a disposable copy of a live speaker, and an exploration run one of
-    its restored base, without paying for a snapshot round-trip. *)
+(** {!S.clone} under the same module and realization — how the
+    orchestrator checkpoints a live speaker, and how an exploration run
+    or a probe takes a disposable copy of one, without paying for a
+    snapshot round-trip. *)
 
 val restore_like : instance -> realization -> bytes -> instance
 (** [restore_like inst real image] rebuilds from [image] with the {e
-    same implementation} as [inst] — how exploration restores its
-    per-seed base from the checkpoint and crash recovery rebuilds an
+    same implementation} as [inst] — how crash recovery rebuilds an
     agent (pass [realization inst] unchanged; nothing is re-rendered),
     and how validation builds a shadow speaker under a proposed
-    realization, without any of them ever naming an implementation. *)
+    realization, without either ever naming an implementation. *)
 
 val rerealize : instance -> source -> realization
 (** Push a {e new} source through this instance's dialect — what

@@ -61,9 +61,7 @@ module Bird = struct
 
   let updates_processed = Router.updates_processed
 
-  let freeze t =
-    let image = Router.freeze t in
-    fun () -> Router.serialize image
+  let snapshot = Router.snapshot
 
   let restore (r : Speaker.realization) image = Router.restore r.Speaker.config image
   let clone = Router.clone
@@ -94,10 +92,7 @@ module Quagga = struct
   let learned_from t ~peer prefix = Qrouter.learned_from t ~peer prefix
   let updates_processed = Qrouter.updates_processed
 
-  (* No incremental freeze: serialize eagerly, hand back the bytes. *)
-  let freeze t =
-    let image = Qrouter.snapshot t in
-    fun () -> image
+  let snapshot = Qrouter.snapshot
 
   let restore (r : Speaker.realization) image = Qrouter.restore r.Speaker.config image
   let clone = Qrouter.clone
@@ -128,10 +123,7 @@ module Xorp = struct
   let learned_from t ~peer prefix = Xrouter.learned_from t ~peer prefix
   let updates_processed = Xrouter.updates_processed
 
-  (* No incremental freeze: serialize eagerly, hand back the bytes. *)
-  let freeze t =
-    let image = Xrouter.snapshot t in
-    fun () -> image
+  let snapshot = Xrouter.snapshot
 
   let restore (r : Speaker.realization) image = Xrouter.restore r.Speaker.config image
   let clone = Xrouter.clone

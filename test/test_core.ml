@@ -397,7 +397,8 @@ let test_orchestrator_whole_message_mode () =
 
 (* Seed-level parallelism is the only parallelism inside one
    [Orchestrator.explore]: each seed explores sequentially on its own
-   worker, so the per-seed reports must not depend on [jobs]. *)
+   worker, cloning the one shared checkpoint, so the per-seed reports —
+   clone footprints included — must not depend on [jobs]. *)
 let test_orchestrator_jobs_deterministic () =
   let topo = testbed ~prefixes:200 Dice_topology.Threerouter.Partially_correct in
   let provider = Dice_topology.Threerouter.provider_router topo in
@@ -418,27 +419,38 @@ let test_orchestrator_jobs_deterministic () =
       (fun prefix -> Orchestrator.observe dice ~peer:tr_customer_addr ~prefix:(p prefix) ~route)
       [ "203.0.113.0/24"; "203.0.112.0/24"; "198.51.100.0/24"; "192.0.2.0/24" ];
     let report = Orchestrator.explore dice in
-    List.map
-      (fun (sr : Orchestrator.seed_report) ->
-        let finding (f : Checker.fault) =
-          Checker.fault_key f
-          ^ String.concat "" (List.map (fun (k, v) -> ";" ^ k ^ "=" ^ v) f.Checker.details)
-        in
-        ( Prefix.to_string sr.Orchestrator.seed.Orchestrator.prefix,
-          ( List.map finding sr.Orchestrator.faults,
-            (sr.Orchestrator.runs_accepted, sr.Orchestrator.runs_rejected),
-            Coverage.snapshot sr.Orchestrator.explorer.Explorer.coverage ) ))
-      report.Orchestrator.seed_reports
+    let seeds =
+      List.map
+        (fun (sr : Orchestrator.seed_report) ->
+          let finding (f : Checker.fault) =
+            Checker.fault_key f
+            ^ String.concat "" (List.map (fun (k, v) -> ";" ^ k ^ "=" ^ v) f.Checker.details)
+          in
+          let footprint (cs : Dice_checkpoint.Fork.clone_stats) =
+            (cs.Dice_checkpoint.Fork.pages, cs.Dice_checkpoint.Fork.unique)
+          in
+          ( Prefix.to_string sr.Orchestrator.seed.Orchestrator.prefix,
+            ( List.map finding sr.Orchestrator.faults,
+              (sr.Orchestrator.runs_accepted, sr.Orchestrator.runs_rejected),
+              ( Coverage.snapshot sr.Orchestrator.explorer.Explorer.coverage,
+                List.map footprint sr.Orchestrator.clone_stats ) ) ))
+        report.Orchestrator.seed_reports
+    in
+    ((report.Orchestrator.checkpoint_pages, report.Orchestrator.live_image_bytes), seeds)
   in
-  let seq = seed_summaries 1 and par = seed_summaries 2 in
+  let (seq_cp, seq) = seed_summaries 1 and (par_cp, par) = seed_summaries 2 in
   Alcotest.(check int) "four seed reports" 4 (List.length seq);
   Alcotest.(check bool) "the comparison covers findings" true
     (List.exists (fun (_, (findings, _, _)) -> findings <> []) seq);
+  Alcotest.(check bool) "the comparison covers clone footprints" true
+    (List.for_all (fun (_, (_, _, (_, footprints))) -> footprints <> []) seq);
+  Alcotest.(check (pair int int)) "jobs=2 checkpoint equals jobs=1" seq_cp par_cp;
   Alcotest.(
     check
       (list
          (pair string
-            (triple (list string) (pair int int) (list (pair int bool))))))
+            (triple (list string) (pair int int)
+               (pair (list (pair int bool)) (list (pair int int)))))))
     "jobs=2 seed reports equal jobs=1" seq par
 
 let suite =

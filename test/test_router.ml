@@ -254,6 +254,21 @@ let test_snapshot_roundtrip () =
   (* a second snapshot of the restored router is identical *)
   Alcotest.(check bytes) "deterministic" image (Router.snapshot r')
 
+let test_snapshot_overflow_roundtrip () =
+  (* 80-AS paths do not fit one slot, so every entry spills to the
+     overflow region; with many spilled slots the region's order must be
+     the one restore reads back *)
+  let r = ready () in
+  let path = 64700 :: List.init 79 (fun i -> 65000 + i) in
+  for i = 0 to 39 do
+    ignore (announce r ~peer:transit ~path (Printf.sprintf "100.%d.0.0/16" i))
+  done;
+  let image = Router.snapshot r in
+  let r' = Router.restore (config ()) image in
+  Alcotest.(check bytes) "restore then snapshot" image (Router.snapshot r');
+  Alcotest.(check bytes) "clone of the restored router" image
+    (Router.snapshot (Router.clone (Router.restore (config ()) image)))
+
 let test_snapshot_restore_behaves () =
   (* the restored router must *behave* identically, not just look alike *)
   let r = ready () in
@@ -351,6 +366,7 @@ let suite =
     ("updates counter", `Quick, test_updates_counter);
     ("malformed bytes notification", `Quick, test_malformed_bytes_notification);
     ("snapshot roundtrip", `Quick, test_snapshot_roundtrip);
+    ("snapshot overflow roundtrip", `Quick, test_snapshot_overflow_roundtrip);
     ("snapshot restore behaves", `Quick, test_snapshot_restore_behaves);
     ("restore bad image rejected", `Quick, test_restore_bad_image_rejected);
     ("concolic import accept", `Quick, test_import_concolic_accept);

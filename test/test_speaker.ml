@@ -1,8 +1,8 @@
 (* The shared SPEAKER conformance suite (ISSUE 5): every registered
    implementation — BIRD and the heterogeneous Quagga-flavored speaker —
    must satisfy the same contract behind {!Dice_core.Speaker}: feeding,
-   attribution, version counting, snapshot/restore isolation, freeze
-   semantics, serving exploration as the live node, and answering probes
+   attribution, version counting, snapshot/restore isolation, clone
+   checkpoint semantics, serving exploration as the live node, and answering probes
    identically over Local and Remote transports. Plus QCheck properties
    pinning down exactly how far the implementations may diverge:
    acceptance and origin-conflict detection must always agree; full
@@ -138,10 +138,11 @@ let test_clone_isolation impl () =
   Alcotest.(check bytes) "live state untouched" before (Speaker.snapshot sp)
 
 let test_clone_of_restored_base impl () =
-  (* the contract exploration relies on: runs import into clones of one
-     base restored from the checkpoint, so neither the base nor a later
+  (* the clone contract exploration relies on, over a base rebuilt from
+     an image (as crash recovery and validation build theirs): runs
+     import into clones of one checkpoint, so neither it nor a later
      clone may see a clone's writes, and a fresh clone must serialize to
-     the checkpoint image (clone-footprint page accounting diffs
+     the checkpoint's image (clone-footprint page accounting diffs
      against it) *)
   let sp = upstream impl in
   let image = Speaker.snapshot sp in
@@ -185,21 +186,53 @@ let test_truncated_restore impl () =
       Alcotest.failf "%s: %d-byte prefix raised %s" impl len (Printexc.to_string e)
   done
 
-let test_freeze_captures_the_moment impl () =
+let test_large_table_roundtrip impl () =
+  (* more entries in one table than a 16-bit count holds: the image must
+     still restore, and re-serialize byte for byte *)
   let sp = upstream impl in
-  let serialize = Speaker.freeze sp in
-  (* the live speaker moves on after the freeze *)
+  let routes = 70_000 and per_update = 500 in
+  (* from the collector: the provider session exports nothing, so the
+     table is the Loc-RIB and one Adj-RIB-In *)
+  let attrs =
+    Route.to_attrs
+      (Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64701; 64512 ] ]
+         ~next_hop:collector ())
+  in
+  let base = Ipv4.of_string "20.0.0.0" in
+  for u = 0 to (routes / per_update) - 1 do
+    let nlri =
+      List.init per_update (fun i -> Prefix.make (base + (((u * per_update) + i) lsl 8)) 24)
+    in
+    ignore (Speaker.feed sp ~peer:collector (Msg.Update { withdrawn = []; attrs; nlri }))
+  done;
+  let last = Prefix.make (base + ((routes - 1) lsl 8)) 24 in
+  Alcotest.(check bool) "the last route is installed" true (Speaker.best_route sp last <> None);
+  let image = Speaker.snapshot sp in
+  let restored = Speaker.restore_like sp (Speaker.realization sp) image in
+  Alcotest.(check bool) "and restored" true (Speaker.best_route restored last <> None);
+  Alcotest.(check bool) "restore then snapshot is byte-identical" true
+    (Bytes.equal image (Speaker.snapshot restored))
+
+let test_clone_captures_the_moment impl () =
+  (* the orchestrator's checkpoint is a clone of the live speaker: it
+     must keep the state of the moment it was taken, whatever the live
+     speaker processes afterwards *)
+  let sp = upstream impl in
+  let before = Speaker.snapshot sp in
+  let cp = Speaker.clone sp in
   ignore (Speaker.feed sp ~peer:provider_side (announcement [ "100.77.0.0/16" ]));
-  let clone = Speaker.restore_like sp (Speaker.realization sp) (serialize ()) in
-  Alcotest.(check bool) "live has the post-freeze route" true
+  Alcotest.(check bool) "live has the post-checkpoint route" true
     (Speaker.best_route sp (p "100.77.0.0/16") <> None);
-  Alcotest.(check bool) "the frozen image does not" true
-    (Speaker.best_route clone (p "100.77.0.0/16") = None)
+  let image = Speaker.snapshot cp in
+  Alcotest.(check bytes) "the checkpoint serializes to the pre-feed snapshot" before image;
+  let restored = Speaker.restore_like sp (Speaker.realization sp) image in
+  Alcotest.(check bool) "its image lacks the route" true
+    (Speaker.best_route restored (p "100.77.0.0/16") = None)
 
 let test_explores_as_live_node impl () =
   (* the full checkpoint–symbolize–explore loop with this implementation
-     as the live node: freeze, concolic import over clones of a restored
-     base, checking — nothing in the orchestrator may assume BIRD. The
+     as the live node: a clone checkpoint, concolic import over clones
+     of it, checking — nothing in the orchestrator may assume BIRD. The
      import filter branches on fields that leave the prefix alone, so
      several accepted runs import the same prefix, whatever the
      implementation instruments past the shared policy interpreter. *)
@@ -467,7 +500,9 @@ let conformance impl =
       test_clone_of_restored_base impl);
     (impl ^ ": truncated images fail with Invalid_argument", `Quick,
       test_truncated_restore impl);
-    (impl ^ ": freeze captures the moment", `Quick, test_freeze_captures_the_moment impl);
+    (impl ^ ": tables past 65,535 routes round-trip", `Quick,
+      test_large_table_roundtrip impl);
+    (impl ^ ": freeze captures the moment", `Quick, test_clone_captures_the_moment impl);
     (impl ^ ": serves as the explored live node", `Quick, test_explores_as_live_node impl);
     (impl ^ ": local/remote transport equivalence", `Quick,
       test_local_remote_equivalence impl);
