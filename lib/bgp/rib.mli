@@ -19,6 +19,11 @@ module Adj : sig
   val cardinal : t -> int
   val to_list : t -> (Prefix.t * Route.t) list
   val fold : (Prefix.t -> Route.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val diff : t -> t -> (Prefix.t * Route.t option * Route.t option) list
+  (** The prefixes whose route differs between two tables
+      ({!Dice_inet.Prefix_trie.diff}): O(written paths) between a table
+      and a persistent update of it. *)
 end
 
 module Loc : sig
@@ -41,6 +46,9 @@ module Loc : sig
   val cardinal : t -> int
   val to_list : t -> (Prefix.t * entry) list
   val fold : (Prefix.t -> entry -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val diff : t -> t -> (Prefix.t * entry option * entry option) list
+  (** As {!Adj.diff}, comparing route and provenance. *)
 
   val trie_nodes : t -> int
   (** Physical trie nodes backing this table

@@ -28,15 +28,42 @@ type slot_key =
   | Slot_adj_in of Ipv4.t * Prefix.t
   | Slot_adj_out of Ipv4.t * Prefix.t
 
+let compare_slot_key a b =
+  let rank = function
+    | Slot_loc _ -> 0
+    | Slot_adj_in _ -> 1
+    | Slot_adj_out _ -> 2
+  in
+  match (a, b) with
+  | Slot_loc p, Slot_loc q -> Prefix.compare p q
+  | Slot_adj_in (x, p), Slot_adj_in (y, q) | Slot_adj_out (x, p), Slot_adj_out (y, q) ->
+    let c = Int.compare x y in
+    if c <> 0 then c else Prefix.compare p q
+  | _, _ -> Int.compare (rank a) (rank b)
+
+module Slot_map = Map.Make (struct
+  type t = slot_key
+
+  let compare = compare_slot_key
+end)
+
+(* Where the last image written or read put every entry. Persistent, so
+   a clone shares it instead of copying it. *)
+type layout = {
+  slots : int Slot_map.t;
+  next_slot : int;  (* slots in the image *)
+  free_slots : int list;  (* ascending *)
+  spilled : (int * bytes) list;
+      (* oversized payloads by slot, ascending: the overflow region *)
+}
+
 type t = {
   cfg : Config_types.t;
   peers : (Ipv4.t, peer_rt) Hashtbl.t;
   statics : Rib.Loc.entry Dice_inet.Prefix_trie.t;
   mutable loc : Rib.Loc.t;
   mutable updates : int;
-  slots : (slot_key, int) Hashtbl.t;
-  mutable next_slot : int;
-  mutable free_slots : int list;
+  mutable layout : layout;
 }
 
 let config t = t.cfg
@@ -64,9 +91,7 @@ let create cfg =
       statics;
       loc = Prefix_trie.fold (fun p e acc -> Rib.Loc.set p e acc) statics Rib.Loc.empty;
       updates = 0;
-      slots = Hashtbl.create 256;
-      next_slot = 0;
-      free_slots = [];
+      layout = { slots = Slot_map.empty; next_slot = 0; free_slots = []; spilled = [] };
     }
   in
   List.iter
@@ -492,19 +517,6 @@ let handle_bytes ?ctx t ~peer bytes =
 let magic = "DICERTR2"
 let slot_size = 256
 
-let compare_slot_key a b =
-  let rank = function
-    | Slot_loc _ -> 0
-    | Slot_adj_in _ -> 1
-    | Slot_adj_out _ -> 2
-  in
-  match (a, b) with
-  | Slot_loc p, Slot_loc q -> Prefix.compare p q
-  | Slot_adj_in (x, p), Slot_adj_in (y, q) | Slot_adj_out (x, p), Slot_adj_out (y, q) ->
-    let c = Int.compare x y in
-    if c <> 0 then c else Prefix.compare p q
-  | _, _ -> Int.compare (rank a) (rank b)
-
 let encode_prefix w p =
   Wbuf.u8 w (Prefix.len p);
   Wbuf.u32 w (Prefix.network p)
@@ -574,108 +586,181 @@ let encode_slot_payload w key payload_route src_opt =
   | None -> ());
   encode_route w payload_route
 
-(* current entries of all tables, with their serialized payloads *)
-let live_entries t =
-  let out = ref [] in
-  Rib.Loc.fold
-    (fun prefix e () ->
-      let w = Wbuf.create () in
-      encode_slot_payload w (Slot_loc prefix) e.Rib.Loc.route (Some e.Rib.Loc.src);
-      out := (Slot_loc prefix, Wbuf.contents w) :: !out)
-    t.loc ();
-  Hashtbl.iter
-    (fun addr p ->
-      Rib.Adj.fold
-        (fun prefix route () ->
-          let w = Wbuf.create () in
-          encode_slot_payload w (Slot_adj_in (addr, prefix)) route None;
-          out := (Slot_adj_in (addr, prefix), Wbuf.contents w) :: !out)
-        p.adj_in ();
-      Rib.Adj.fold
-        (fun prefix route () ->
-          let w = Wbuf.create () in
-          encode_slot_payload w (Slot_adj_out (addr, prefix)) route None;
-          out := (Slot_adj_out (addr, prefix), Wbuf.contents w) :: !out)
-        p.adj_out ())
-    t.peers;
-  !out
+let payload key route src_opt =
+  let w = Wbuf.create () in
+  encode_slot_payload w key route src_opt;
+  Wbuf.contents w
 
-let snapshot t =
-  let entries = live_entries t in
-  let live = Hashtbl.create (List.length entries) in
-  List.iter (fun (k, payload) -> Hashtbl.replace live k payload) entries;
-  (* free slots whose entry disappeared *)
-  let stale =
-    Hashtbl.fold (fun k idx acc -> if Hashtbl.mem live k then acc else (k, idx) :: acc)
-      t.slots []
+let loc_payload prefix (e : Rib.Loc.entry) =
+  payload (Slot_loc prefix) e.Rib.Loc.route (Some e.Rib.Loc.src)
+
+let by_slot (a, _) (b, _) = Int.compare a b
+
+(* The overflow list after [writes]: the [freed] slots and those of
+   [rewrites] drop their old payload, and written payloads too large for a
+   slot join. Physically the same list when nothing spilled or
+   unspilled. *)
+let respill spilled ~freed ~rewrites writes =
+  let kept =
+    if spilled = [] then []
+    else begin
+      let gone = Hashtbl.create 16 in
+      List.iter (fun idx -> Hashtbl.replace gone idx ()) freed;
+      List.iter (fun (idx, _) -> Hashtbl.replace gone idx ()) rewrites;
+      List.filter (fun (idx, _) -> not (Hashtbl.mem gone idx)) spilled
+    end
   in
-  List.iter
-    (fun (k, idx) ->
-      Hashtbl.remove t.slots k;
-      t.free_slots <- idx :: t.free_slots)
-    stale;
-  t.free_slots <- List.sort_uniq Int.compare t.free_slots;
-  (* assign slots to new keys in deterministic order *)
   let fresh =
-    List.filter (fun (k, _) -> not (Hashtbl.mem t.slots k)) entries
-    |> List.sort (fun (a, _) (b, _) -> compare_slot_key a b)
+    List.filter_map
+      (function
+        | idx, Some p when Bytes.length p >= slot_size -> Some (idx, p)
+        | _, (Some _ | None) -> None)
+      writes
   in
-  List.iter
-    (fun (k, _) ->
-      match t.free_slots with
-      | idx :: rest ->
-        t.free_slots <- rest;
-        Hashtbl.replace t.slots k idx
-      | [] ->
-        Hashtbl.replace t.slots k t.next_slot;
-        t.next_slot <- t.next_slot + 1)
-    fresh;
-  (* header *)
+  if fresh = [] && List.length kept = List.length spilled then spilled
+  else List.merge by_slot kept (List.sort by_slot fresh)
+
+(* The slot bookkeeping every image goes through, whole or patched.
+   [changes] gives an entry's new payload, [None] for an entry that is
+   gone. Gone entries free their slots; new ones take, in
+   [compare_slot_key] order, the lowest free slot, else a new one past the
+   end. Returns the new layout and the slots to write, each once: a
+   payload, or [None] for a freed slot that nothing took. *)
+let place l changes =
+  let slots, freed, rewrites, fresh =
+    List.fold_left
+      (fun (slots, freed, rewrites, fresh) (k, p) ->
+        match (p, Slot_map.find_opt k l.slots) with
+        | None, Some idx -> (Slot_map.remove k slots, idx :: freed, rewrites, fresh)
+        | Some p, Some idx -> (slots, freed, (idx, Some p) :: rewrites, fresh)
+        | Some p, None -> (slots, freed, rewrites, (k, p) :: fresh)
+        | None, None -> (slots, freed, rewrites, fresh))
+      (l.slots, [], [], []) changes
+  in
+  let slots, free_slots, next_slot, writes =
+    List.fold_left
+      (fun (slots, free, next, writes) (k, p) ->
+        match free with
+        | idx :: rest -> (Slot_map.add k idx slots, rest, next, (idx, Some p) :: writes)
+        | [] -> (Slot_map.add k next slots, [], next + 1, (next, Some p) :: writes))
+      (slots, List.sort_uniq Int.compare (freed @ l.free_slots), l.next_slot, rewrites)
+      (List.sort (fun (a, _) (b, _) -> compare_slot_key a b) fresh)
+  in
+  (* fresh keys took the lowest free slots, so the freed slots nothing
+     took are those from the first one left *)
+  let zeroed =
+    match free_slots with
+    | [] -> []
+    | first :: _ -> List.filter (fun idx -> idx >= first) freed
+  in
+  let writes = List.fold_left (fun w idx -> (idx, None) :: w) writes zeroed in
+  ( { slots; next_slot; free_slots; spilled = respill l.spilled ~freed ~rewrites writes },
+    writes )
+
+(* slot header byte 1 and the payload, or 2 for a payload that went to
+   the overflow region *)
+let fill_slot buf off payload =
+  if Bytes.length payload < slot_size then begin
+    Bytes.set buf off '\001';
+    Bytes.blit payload 0 buf (off + 1) (Bytes.length payload)
+  end
+  else Bytes.set buf off '\002'
+
+let encode_header t l =
   let peers =
     Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) t.peers []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let header = Wbuf.create () in
-  Wbuf.string header magic;
-  Wbuf.u32 header t.updates;
-  Wbuf.u16 header (List.length peers);
+  let w = Wbuf.create () in
+  Wbuf.string w magic;
+  Wbuf.u32 w t.updates;
+  Wbuf.u16 w (List.length peers);
   List.iter
     (fun (addr, p) ->
-      Wbuf.u32 header addr;
-      Wbuf.u8 header (fsm_code p.fsm);
-      Wbuf.u8 header (if p.as4 then 1 else 0))
+      Wbuf.u32 w addr;
+      Wbuf.u8 w (fsm_code p.fsm);
+      Wbuf.u8 w (if p.as4 then 1 else 0))
     peers;
-  Wbuf.u32 header t.next_slot;
-  let header_bytes = Wbuf.contents header in
-  let header_room = ((Bytes.length header_bytes / slot_size) + 1) * slot_size in
-  (* slot region + overflow *)
-  let region = Bytes.make (header_room + (t.next_slot * slot_size)) '\000' in
-  Bytes.blit header_bytes 0 region 0 (Bytes.length header_bytes);
-  let spilled = ref [] in
-  Hashtbl.iter
-    (fun k idx ->
-      let payload = Hashtbl.find live k in
-      let off = header_room + (idx * slot_size) in
-      if Bytes.length payload <= slot_size - 1 then begin
-        Bytes.set region off '\001';
-        Bytes.blit payload 0 region (off + 1) (Bytes.length payload)
-      end
-      else begin
-        (* oversized: mark the slot as spilled and store linearly *)
-        Bytes.set region off '\002';
-        spilled := (idx, payload) :: !spilled
-      end)
-    t.slots;
-  (* overflow payloads in slot order: restore hands them back to the
-     spilled slots in ascending index order *)
-  let tail = Wbuf.create () in
-  Wbuf.u32 tail (List.length !spilled);
+  Wbuf.u32 w l.next_slot;
+  Wbuf.contents w
+
+let header_room header = ((Bytes.length header / slot_size) + 1) * slot_size
+
+(* overflow payloads in slot order: restore hands them back to the
+   spilled slots in ascending index order *)
+let encode_tail spilled =
+  let w = Wbuf.create () in
+  Wbuf.u32 w (List.length spilled);
   List.iter
-    (fun (_, payload) ->
-      Wbuf.u16 tail (Bytes.length payload);
-      Wbuf.bytes tail payload)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !spilled);
-  Bytes.cat region (Wbuf.contents tail)
+    (fun (_, p) ->
+      Wbuf.u16 w (Bytes.length p);
+      Wbuf.bytes w p)
+    spilled;
+  Wbuf.contents w
+
+let snapshot t =
+  let live = Hashtbl.create 256 in
+  Rib.Loc.fold (fun prefix e () -> Hashtbl.replace live (Slot_loc prefix) (loc_payload prefix e))
+    t.loc ();
+  Hashtbl.iter
+    (fun addr p ->
+      let add key route = Hashtbl.replace live key (payload key route None) in
+      Rib.Adj.fold (fun prefix r () -> add (Slot_adj_in (addr, prefix)) r) p.adj_in ();
+      Rib.Adj.fold (fun prefix r () -> add (Slot_adj_out (addr, prefix)) r) p.adj_out ())
+    t.peers;
+  let changes =
+    Slot_map.fold
+      (fun k _ acc -> if Hashtbl.mem live k then acc else (k, None) :: acc)
+      t.layout.slots
+      (Hashtbl.fold (fun k p acc -> (k, Some p) :: acc) live [])
+  in
+  let l, writes = place t.layout changes in
+  t.layout <- l;
+  let header = encode_header t l in
+  let room = header_room header in
+  let region = Bytes.make (room + (l.next_slot * slot_size)) '\000' in
+  Bytes.blit header 0 region 0 (Bytes.length header);
+  List.iter (fun (idx, p) -> Option.iter (fill_slot region (room + (idx * slot_size))) p) writes;
+  Bytes.cat region (encode_tail l.spilled)
+
+(* The same bookkeeping over only the entries [t] changed since [base]'s
+   image: the RIB diffs skip every subtree the clone still shares, so the
+   cost is the write set. Reads [base] and [t] only. *)
+let snapshot_patch ~base t =
+  let changes = ref [] in
+  let note key p = changes := (key, p) :: !changes in
+  List.iter
+    (fun (prefix, _, e) -> note (Slot_loc prefix) (Option.map (loc_payload prefix) e))
+    (Rib.Loc.diff base.loc t.loc);
+  Seq.iter
+    (fun (addr, bp) ->
+      let tp = peer_exn t addr in
+      let adj slot before after =
+        List.iter
+          (fun (prefix, _, r) ->
+            let key = slot prefix in
+            note key (Option.map (fun r -> payload key r None) r))
+          (Rib.Adj.diff before after)
+      in
+      adj (fun prefix -> Slot_adj_in (addr, prefix)) bp.adj_in tp.adj_in;
+      adj (fun prefix -> Slot_adj_out (addr, prefix)) bp.adj_out tp.adj_out)
+    (Hashtbl.to_seq base.peers);
+  let l, writes = place base.layout !changes in
+  let header = encode_header t l in
+  let room = header_room header in
+  let slots =
+    List.map
+      (fun (idx, p) ->
+        let b = Bytes.make slot_size '\000' in
+        Option.iter (fill_slot b 0) p;
+        (room + (idx * slot_size), b))
+      writes
+  in
+  let tail_off = room + (l.next_slot * slot_size) in
+  let tail_len = List.fold_left (fun n (_, p) -> n + 2 + Bytes.length p) 4 l.spilled in
+  let moved = l.next_slot <> base.layout.next_slot || l.spilled != base.layout.spilled in
+  ( tail_off + tail_len,
+    ((0, header) :: slots) @ if moved then [ (tail_off, encode_tail l.spilled) ] else [] )
 
 let decode_slot_payload t r =
   let kind = Rbuf.u8 ~what:"slot kind" r in
@@ -735,20 +820,18 @@ let restore cfg image =
     let header_room = ((header_len / slot_size) + 1) * slot_size in
     if Bytes.length image < header_room + (n_slots * slot_size) + 4 then
       invalid_arg "Router.restore: image shorter than its slot region";
-    t.next_slot <- n_slots;
-    let spilled = ref [] in
+    let slots = ref Slot_map.empty and free = ref [] and spilled = ref [] in
     for idx = 0 to n_slots - 1 do
       let off = header_room + (idx * slot_size) in
       match Bytes.get image off with
-      | '\000' -> t.free_slots <- idx :: t.free_slots
+      | '\000' -> free := idx :: !free
       | '\001' ->
         let sr = Rbuf.of_bytes (Bytes.sub image (off + 1) (slot_size - 1)) in
         let key = decode_slot_payload t sr in
-        Hashtbl.replace t.slots key idx
+        slots := Slot_map.add key idx !slots
       | '\002' -> spilled := idx :: !spilled
       | c -> invalid_arg (Printf.sprintf "Router.restore: bad slot marker %C" c)
     done;
-    t.free_slots <- List.sort_uniq Int.compare t.free_slots;
     (* overflow region *)
     let tail_off = header_room + (n_slots * slot_size) in
     let tail = Rbuf.of_bytes (Bytes.sub image tail_off (Bytes.length image - tail_off)) in
@@ -756,14 +839,19 @@ let restore cfg image =
     if n_overflow <> List.length !spilled then
       invalid_arg "Router.restore: overflow count does not match spilled slots";
     (* overflow payloads are written in ascending slot order *)
-    let spilled = List.sort Int.compare !spilled in
-    List.iter
-      (fun idx ->
-        let len = Rbuf.u16 ~what:"overflow len" tail in
-        let body = Rbuf.sub tail len in
-        let key = decode_slot_payload t body in
-        Hashtbl.replace t.slots key idx)
-      spilled;
+    let spilled =
+      List.fold_left
+        (fun acc idx ->
+          let len = Rbuf.u16 ~what:"overflow len" tail in
+          let body = Rbuf.take ~what:"overflow payload" tail len in
+          let key = decode_slot_payload t (Rbuf.of_bytes body) in
+          slots := Slot_map.add key idx !slots;
+          (idx, body) :: acc)
+        [] (List.sort Int.compare !spilled)
+      |> List.rev
+    in
+    t.layout <-
+      { slots = !slots; next_slot = n_slots; free_slots = List.rev !free; spilled };
     t
   with Rbuf.Truncated what -> invalid_arg ("Router.restore: truncated image: " ^ what)
 
@@ -772,8 +860,8 @@ let restore cfg image =
 (* ------------------------------------------------------------------ *)
 
 (* Worker domains clone one shared checkpoint at once, so cloning only
-   reads [t]: [Hashtbl.to_seq] and [Hashtbl.copy], unlike [Hashtbl.iter],
-   leave the table's traversal flag alone. *)
+   reads [t]: [Hashtbl.to_seq], unlike [Hashtbl.iter], leaves the table's
+   traversal flag alone. *)
 let clone t =
   let peers = Hashtbl.create (Hashtbl.length t.peers) in
   Seq.iter
@@ -789,7 +877,5 @@ let clone t =
     statics = t.statics;
     loc = t.loc;
     updates = t.updates;
-    slots = Hashtbl.copy t.slots;
-    next_slot = t.next_slot;
-    free_slots = t.free_slots;
+    layout = t.layout;
   }

@@ -95,6 +95,16 @@ val snapshot : t -> bytes
     snapshot updates the router's slot map (and nothing else); to
     checkpoint a live router without touching it, snapshot a {!clone}. *)
 
+val snapshot_patch : base:t -> t -> int * (int * bytes) list
+(** [snapshot_patch ~base t], for [t] a {!clone} of [base] taken after
+    [base]'s last {!snapshot} (or {!restore}), with [base] unchanged
+    since: the length of [snapshot t] and byte ranges [(offset, bytes)]
+    that turn [snapshot base] into it. The RIB diffs skip every subtree
+    [t] still shares with [base], and the changed entries go through the
+    slot bookkeeping {!snapshot} uses, so the patch costs what [t] wrote:
+    its entries' slots, the header, and the overflow region when that
+    moved or changed. Reads both routers and writes neither. *)
+
 val restore : Config_types.t -> bytes -> t
 (** Rebuild a router from a snapshot taken of a router with the same
     configuration. @raise Invalid_argument on a corrupt image. *)
@@ -106,6 +116,6 @@ val clone : t -> t
     serialization. Mutating either side copies only the touched path
     ({!Dice_inet.Prefix_trie} structural sharing); everything else stays
     physically shared. This is the checkpoint and explorer-clone path:
-    memory per clone is the write set, not the table. The clone copies
-    the slot map, so it costs O(#peers) on a router that was never
-    snapshotted and O(#slots) once it has been. *)
+    memory per clone is the write set, not the table. The slot map is
+    persistent too, so the clone costs O(#peers) whether or not the
+    router was ever snapshotted. *)

@@ -42,27 +42,25 @@ let page_size t = t.page_size
 
 let key_of (id : Page.id) : key = (id.hash, id.len)
 
-let capture t state =
-  let pages = Page.split ~page_size:t.page_size state in
+let capture_pages t ids =
   locked t (fun () ->
-      let table =
-        List.map
-          (fun id ->
-            let k = key_of id in
-            (match Hashtbl.find_opt t.pages k with
-            | Some refs ->
-              Hashtbl.replace t.pages k (refs + 1);
-              t.page_hits <- t.page_hits + 1
-            | None ->
-              Hashtbl.add t.pages k 1;
-              t.page_inserts <- t.page_inserts + 1);
-            id)
-          pages
-        |> Array.of_list
-      in
+      Array.iter
+        (fun id ->
+          let k = key_of id in
+          match Hashtbl.find_opt t.pages k with
+          | Some refs ->
+            Hashtbl.replace t.pages k (refs + 1);
+            t.page_hits <- t.page_hits + 1
+          | None ->
+            Hashtbl.add t.pages k 1;
+            t.page_inserts <- t.page_inserts + 1)
+        ids;
       t.captures <- t.captures + 1;
       t.live <- t.live + 1;
-      { store = t; table; released = false })
+      { store = t; table = ids; released = false })
+
+let capture t state =
+  capture_pages t (Array.of_list (Page.split ~page_size:t.page_size state))
 
 let release s =
   locked s.store (fun () ->

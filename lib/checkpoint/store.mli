@@ -25,6 +25,11 @@ val capture : t -> bytes -> snapshot
 (** Snapshot a serialized state. Pages already present are shared, new
     pages are inserted with refcount 1. *)
 
+val capture_pages : t -> Page.id array -> snapshot
+(** {!capture} of a state already carved into pages, in address order —
+    for a caller that knows most pages' ids without hashing them again.
+    The snapshot keeps the array: do not write to it afterwards. *)
+
 val release : snapshot -> unit
 (** Drop a snapshot; pages with no remaining references are evicted.
     Releasing twice is an error. *)

@@ -91,17 +91,15 @@ let agent_health t = t.health
    against — so one burst of probes against an unchanged speaker still
    counts as one logical checkpoint. *)
 let take_clone t live =
-  Mutex.lock t.lock;
-  let version = Speaker.updates_processed live in
-  (match t.cloned_version with
-  | Some v when v = version -> ()
-  | Some _ | None ->
-    t.cloned_version <- Some version;
-    Atomic.incr t.checkpoints);
-  Atomic.incr t.clones;
-  let clone = Speaker.clone live in
-  Mutex.unlock t.lock;
-  clone
+  Mutex.protect t.lock (fun () ->
+      let version = Speaker.updates_processed live in
+      (match t.cloned_version with
+      | Some v when v = version -> ()
+      | Some _ | None ->
+        t.cloned_version <- Some version;
+        Atomic.incr t.checkpoints);
+      Atomic.incr t.clones;
+      Speaker.clone live)
 
 let in_whitelist anycast prefix = List.exists (fun a -> Prefix.subsumes a prefix) anycast
 
@@ -344,60 +342,42 @@ module Recovery = struct
   let feed t ~peer msg =
     let sp = live_of t.agent "feed" in
     let outs = Speaker.feed sp ~peer msg in
-    Mutex.lock t.lock;
-    if t.journal_len + 1 >= t.journal_cap then begin
-      t.image <- Speaker.snapshot sp;
-      t.snapshots <- t.snapshots + 1;
-      t.rev_journal <- [];
-      t.journal_len <- 0
-    end
-    else begin
-      t.rev_journal <- (peer, msg) :: t.rev_journal;
-      t.journal_len <- t.journal_len + 1
-    end;
-    Mutex.unlock t.lock;
+    Mutex.protect t.lock (fun () ->
+        if t.journal_len + 1 >= t.journal_cap then begin
+          t.image <- Speaker.snapshot sp;
+          t.snapshots <- t.snapshots + 1;
+          t.rev_journal <- [];
+          t.journal_len <- 0
+        end
+        else begin
+          t.rev_journal <- (peer, msg) :: t.rev_journal;
+          t.journal_len <- t.journal_len + 1
+        end);
     outs
 
   let crash_restart t =
     let old = live_of t.agent "crash_restart" in
-    Mutex.lock t.lock;
-    let image = t.image and journal = List.rev t.rev_journal in
-    Mutex.unlock t.lock;
+    let image, journal =
+      Mutex.protect t.lock (fun () -> (t.image, List.rev t.rev_journal))
+    in
     (* rebuild: restore the last snapshot, replay the bounded journal —
        the rebuilt speaker is state-identical to the one that crashed *)
     let sp = Speaker.restore_like old (Speaker.realization old) image in
     List.iter (fun (peer, msg) -> ignore (Speaker.feed sp ~peer msg)) journal;
     t.agent.transport <- Local sp;
     (* the recorded clone version belonged to the dead speaker *)
-    Mutex.lock t.agent.lock;
-    t.agent.cloned_version <- None;
-    Mutex.unlock t.agent.lock;
+    Mutex.protect t.agent.lock (fun () -> t.agent.cloned_version <- None);
     (* a rebuilt speaker can present an [updates_processed] counter that
        collides with a pre-crash version while holding different
        history — epoch-invalidate rather than trust the version stamp *)
     Dice_exec.Vcache.invalidate t.agent.vcache;
-    Mutex.lock t.lock;
-    t.incarnation <- t.incarnation + 1;
-    t.restarts <- t.restarts + 1;
-    Mutex.unlock t.lock
+    Mutex.protect t.lock (fun () ->
+        t.incarnation <- t.incarnation + 1;
+        t.restarts <- t.restarts + 1)
 
-  let incarnation t =
-    Mutex.lock t.lock;
-    let v = t.incarnation in
-    Mutex.unlock t.lock;
-    v
-
-  let restarts t =
-    Mutex.lock t.lock;
-    let v = t.restarts in
-    Mutex.unlock t.lock;
-    v
-
-  let snapshots t =
-    Mutex.lock t.lock;
-    let v = t.snapshots in
-    Mutex.unlock t.lock;
-    v
+  let incarnation t = Mutex.protect t.lock (fun () -> t.incarnation)
+  let restarts t = Mutex.protect t.lock (fun () -> t.restarts)
+  let snapshots t = Mutex.protect t.lock (fun () -> t.snapshots)
 
   let state_version t =
     match t.agent.transport with

@@ -60,9 +60,7 @@ let create ?(config = default_config) ?(now = 0.0) ~name () =
 let name t = t.name
 let config t = t.cfg
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let rec take n = function
   | [] -> []
@@ -134,9 +132,8 @@ let stats t =
   }
 
 let pp ppf t =
-  Mutex.lock t.lock;
-  let s = t.state and hb = t.heartbeats and inc = t.incarnation in
-  let seen = t.last_seen in
-  Mutex.unlock t.lock;
+  let s, hb, inc, seen =
+    locked t (fun () -> (t.state, t.heartbeats, t.incarnation, t.last_seen))
+  in
   Format.fprintf ppf "%s: %a (inc %d, %d heartbeats, last seen %.3fs)" t.name pp_state
     s inc hb seen

@@ -187,7 +187,8 @@ let dedup_faults faults =
       end)
     faults
 
-let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
+let explore_seed (type a) t (module M : Speaker.S with type t = a) ~checkpoint ~(base : a)
+    ~pre_loc (s : seed) =
   let ex = t.cfg.exploration in
   (* the clone's outputs come back as values and are counted here; none
      is ever put on a network *)
@@ -197,7 +198,7 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
   let meta_buf = Buffer.create 1024 in
   (* the first run, and every run that follows an accepted one, gets a
      fresh in-memory clone of the checkpoint, never the checkpoint itself *)
-  let clone = ref (Speaker.clone base) in
+  let clone = ref (M.clone base) in
   let dirty = ref false in
   let faults = ref [] in
   let accepted = ref 0 in
@@ -232,11 +233,14 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
       let power_of_two n = n land (n - 1) = 0 in
       if !sampled < ex.clone_samples && power_of_two !accepted then begin
         incr sampled;
-        let final =
-          Bytes.cat (Speaker.snapshot !clone)
-            (Bytes.of_string (Buffer.contents meta_buf))
+        (* counted from what the clone wrote, as fork() counts the pages
+           a child dirtied: the clone is never serialized *)
+        let stats =
+          Fork.footprint checkpoint
+            ~patch:(M.snapshot_patch ~base !clone)
+            ~metadata:(Buffer.to_bytes meta_buf)
         in
-        clone_stats := Fork.footprint checkpoint ~final_image:final :: !clone_stats
+        clone_stats := stats :: !clone_stats
       end
     end
     else incr rejected;
@@ -246,13 +250,13 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
   in
   let program ctx =
     if !dirty then begin
-      clone := Speaker.clone base;
+      clone := M.clone base;
       dirty := false
     end;
     match ex.mode with
     | Symbolize.Selective ->
       let cr = Symbolize.croute ctx ~tag:s.tag ~prefix:s.prefix ~route:s.route in
-      let outcome = Speaker.import_concolic ~ctx !clone ~peer:s.peer cr in
+      let outcome = M.import_concolic ~ctx !clone ~peer:s.peer cr in
       run_outcome ctx outcome
     | Symbolize.Whole_message -> begin
       let observed =
@@ -273,7 +277,7 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
             List.iter
               (fun prefix ->
                 let cr = Croute.of_route prefix route in
-                let outcome = Speaker.import_concolic ~ctx !clone ~peer:s.peer cr in
+                let outcome = M.import_concolic ~ctx !clone ~peer:s.peer cr in
                 run_outcome ctx outcome)
               u.Msg.nlri
           | Error _ -> incr rejected
@@ -331,9 +335,11 @@ let explore t =
      [Pool.map] keeps report order equal to seed order whatever the
      schedule. *)
   let seed_reports =
-    Dice_exec.Pool.map ~jobs:(max 1 ex.jobs)
-      (fun s -> explore_seed t ~checkpoint ~base ~pre_loc s)
-      seeds
+    match base with
+    | Speaker.Inst (m, _, base) ->
+      Dice_exec.Pool.map ~jobs:(max 1 ex.jobs)
+        (fun s -> explore_seed t m ~checkpoint ~base ~pre_loc s)
+        seeds
   in
   let all_faults =
     dedup_faults (List.concat_map (fun (r : seed_report) -> r.faults) seed_reports)

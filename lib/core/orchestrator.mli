@@ -20,7 +20,9 @@
     checkpointed state. The checkpoint's serialized pages
     ({!Speaker.snapshot} of the checkpoint, taken off the critical path)
     serve only the memory accounting ([checkpoint_pages] and the
-    clone-footprint samples). *)
+    clone-footprint samples). A sampled clone's pages come from its
+    {!Speaker.S.snapshot_patch} against the checkpoint, never from
+    serializing the clone. *)
 
 open Dice_inet
 open Dice_bgp
@@ -157,6 +159,8 @@ type seed_report = {
           replays it; config-change validation uses this to detect
           regressions on legitimate traffic *)
   clone_stats : Dice_checkpoint.Fork.clone_stats list;
+      (** copy-on-write cost of the clones of accepted runs 1, 2, 4, 8, …
+          (up to [clone_samples]), engine metadata included *)
   depth_counts : (string * int) list;
       (** whole-message mode: how deep each run got into the parser *)
 }

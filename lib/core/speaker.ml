@@ -43,6 +43,7 @@ module type S = sig
   val learned_from : t -> peer:Ipv4.t -> Prefix.t -> bool
   val updates_processed : t -> int
   val snapshot : t -> bytes
+  val snapshot_patch : base:t -> t -> int * (int * bytes) list
   val restore : realization -> bytes -> t
   val clone : t -> t
 end
@@ -65,9 +66,6 @@ let rendered inst = (realization inst).rendered
 let intent inst = match source inst with Intent i -> Some i | Config _ -> None
 let establish (Inst ((module M), _, t)) ~peer = M.establish t ~peer
 let feed ?ctx (Inst ((module M), _, t)) ~peer msg = M.feed ?ctx t ~peer msg
-
-let import_concolic ~ctx (Inst ((module M), _, t)) ~peer cr =
-  M.import_concolic ~ctx t ~peer cr
 
 let loc_rib (Inst ((module M), _, t)) = M.loc_rib t
 let best_route (Inst ((module M), _, t)) prefix = M.best_route t prefix

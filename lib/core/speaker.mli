@@ -30,8 +30,10 @@
       node. {!S.snapshot} serializes a speaker (the page image the
       memory accounting counts, and what crash recovery and validation
       rebuild from) and {!S.restore} rebuilds an equivalent speaker from
-      the bytes. The byte format is the implementation's own; the core
-      treats it as opaque;
+      the bytes; {!S.snapshot_patch} gives an explorer clone's image as
+      the byte ranges where it differs from its checkpoint's, so the
+      clone's pages are counted without serializing it. The byte format
+      is the implementation's own; the core treats it as opaque;
     - {b report per-prefix verdicts}: {!S.loc_rib}, {!S.best_route} and
       {!S.learned_from} expose exactly the read-only views the probe
       path needs to compute origin/best-route {!Verdict.t}s;
@@ -155,6 +157,23 @@ module type S = sig
       checkpoint, a {!clone} of the live speaker, rather than the live
       speaker itself. *)
 
+  val snapshot_patch : base:t -> t -> int * (int * bytes) list
+  (** [snapshot_patch ~base t] is [snapshot t] as a patch on
+      [snapshot base]: its length, and byte ranges [(offset, bytes)]
+      which, written over [snapshot base] (cut or zero-extended to that
+      length), give [snapshot t] byte for byte. The ranges cover every
+      byte where the two differ, including every byte past the end of
+      [snapshot base]; they may also rewrite bytes that did not change.
+      Precondition: [t] is a {!clone} of [base] taken after [base]'s
+      last {!snapshot}, and [base] has not changed since. This is how
+      the orchestrator counts an explorer clone's pages the way fork()'s
+      copy-on-write does, from what the clone wrote: an implementation
+      with a slot-stable image (BIRD) answers from the entries the clone
+      changed, without serializing it; one whose image is linear, where
+      any change shifts every later byte, answers with one write of the
+      whole image, which costs a {!snapshot}. Like {!snapshot}, must not
+      change what either speaker answers. *)
+
   val restore : realization -> bytes -> t
   (** Rebuild a speaker from a snapshot taken of a speaker {e of the
       same implementation} with the same peer set. The realization is
@@ -213,9 +232,6 @@ val rendered : instance -> string option
 
 val establish : instance -> peer:Ipv4.t -> unit
 val feed : ?ctx:Engine.ctx -> instance -> peer:Ipv4.t -> Msg.t -> (Ipv4.t * Msg.t) list
-
-val import_concolic :
-  ctx:Engine.ctx -> instance -> peer:Ipv4.t -> Croute.t -> import_outcome
 
 val loc_rib : instance -> Rib.Loc.t
 val best_route : instance -> Prefix.t -> Rib.Loc.entry option

@@ -6,6 +6,10 @@ module Router = Dice_bgp.Router
 module Qrouter = Dice_bgp2.Qrouter
 module Xrouter = Dice_bgp3.Xrouter
 
+(* A linear image shifts every later byte on any change, so its patch
+   against any base is one write of the whole image. *)
+let whole_image img = (Bytes.length img, [ (0, img) ])
+
 module Bird = struct
   type t = Router.t
 
@@ -62,6 +66,7 @@ module Bird = struct
   let updates_processed = Router.updates_processed
 
   let snapshot = Router.snapshot
+  let snapshot_patch = Router.snapshot_patch
 
   let restore (r : Speaker.realization) image = Router.restore r.Speaker.config image
   let clone = Router.clone
@@ -93,6 +98,7 @@ module Quagga = struct
   let updates_processed = Qrouter.updates_processed
 
   let snapshot = Qrouter.snapshot
+  let snapshot_patch ~base:_ t = whole_image (snapshot t)
 
   let restore (r : Speaker.realization) image = Qrouter.restore r.Speaker.config image
   let clone = Qrouter.clone
@@ -124,6 +130,7 @@ module Xorp = struct
   let updates_processed = Xrouter.updates_processed
 
   let snapshot = Xrouter.snapshot
+  let snapshot_patch ~base:_ t = whole_image (snapshot t)
 
   let restore (r : Speaker.realization) image = Xrouter.restore r.Speaker.config image
   let clone = Xrouter.clone

@@ -197,6 +197,50 @@ let equal eq a b =
   List.length la = List.length lb
   && List.for_all2 (fun (p, v) (q, w) -> Prefix.equal p q && eq v w) la lb
 
+(* Both tries are canonical (one shape per key set), so two tries that
+   share history line up node for node off the paths where they were
+   written, and a physically shared subtree holds no difference. The
+   walk emits in the same order as [fold] (node, left, right), onto a
+   reversed accumulator. *)
+let diff eq a b =
+  let gone p v acc = (p, Some v, None) :: acc and came p w acc = (p, None, Some w) :: acc in
+  let own f p value acc =
+    match value with
+    | Some v -> f p v acc
+    | None -> acc
+  in
+  let rec go a b acc =
+    if a == b then acc
+    else
+      match (a, b) with
+      | Empty, _ -> fold came b acc
+      | _, Empty -> fold gone a acc
+      | Node x, Node y ->
+        let lx = Prefix.len x.prefix and ly = Prefix.len y.prefix in
+        let c = common_len x.prefix y.prefix in
+        if c = lx && c = ly then begin
+          let acc =
+            match (x.value, y.value) with
+            | None, None -> acc
+            | Some v, Some w when v == w || eq v w -> acc
+            | va, vb -> (x.prefix, va, vb) :: acc
+          in
+          go x.right y.right (go x.left y.left acc)
+        end
+        else if c = lx then
+          (* [b] lies strictly below [x], in one of its children *)
+          let acc = own gone x.prefix x.value acc in
+          if qbit y.prefix lx then go x.right b (go x.left Empty acc)
+          else go x.right Empty (go x.left b acc)
+        else if c = ly then
+          let acc = own came y.prefix y.value acc in
+          if qbit x.prefix ly then go a y.right (go Empty y.left acc)
+          else go Empty y.right (go a y.left acc)
+        else if qbit x.prefix c then fold gone a (fold came b acc)
+        else fold came b (fold gone a acc)
+  in
+  List.rev (go a b [])
+
 (* ------------------------------------------------------------------ *)
 (* Physical structural sharing                                         *)
 (* ------------------------------------------------------------------ *)

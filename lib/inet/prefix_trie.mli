@@ -65,6 +65,14 @@ val filter : (Prefix.t -> 'a -> bool) -> 'a t -> 'a t
 
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 
+val diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> (Prefix.t * 'a option * 'a option) list
+(** [diff eq a b] lists, in prefix order, every prefix whose binding
+    differs between [a] and [b]: [(p, va, vb)] with [va] its binding in
+    [a], [vb] its binding in [b], and not both bound to values equal by
+    [eq] (or physically equal). Subtrees the two tries share physically
+    are skipped unvisited, so diffing a trie against a persistent update
+    of it costs the written paths, not the table. *)
+
 val node_count : 'a t -> int
 (** Trie nodes (bound and fork), not bindings — the unit {!shared_nodes}
     counts in. *)

@@ -85,6 +85,9 @@ let test_live_snapshots () =
 
 (* ---- Fork ---- *)
 
+(* a clone image given whole: one write over the checkpoint's *)
+let whole img = (Bytes.length img, [ (0, img) ])
+
 let test_fork_lifecycle () =
   let mgr = Fork.create ~page_size:64 () in
   let live = bytes_of 1024 Fun.id in
@@ -92,7 +95,7 @@ let test_fork_lifecycle () =
   (* the clone mutates one page *)
   let final = Bytes.copy live in
   Bytes.set final 0 '\xEE';
-  let stats = Fork.footprint cp ~final_image:final in
+  let stats = Fork.footprint cp ~patch:(whole final) ~metadata:Bytes.empty in
   Alcotest.(check int) "pages" 16 stats.Fork.pages;
   Alcotest.(check int) "one unique" 1 stats.Fork.unique;
   (* counting a footprint holds no pages: only the checkpoint's remain *)
@@ -104,7 +107,7 @@ let test_fork_unchanged_clone () =
   let mgr = Fork.create ~page_size:64 () in
   let live = bytes_of 640 Fun.id in
   let cp = Fork.checkpoint mgr ~live_image:live in
-  let stats = Fork.footprint cp ~final_image:live in
+  let stats = Fork.footprint cp ~patch:(whole live) ~metadata:Bytes.empty in
   Alcotest.(check int) "zero unique" 0 stats.Fork.unique;
   Alcotest.(check (float 0.0)) "zero extra" 0.0 stats.Fork.extra_fraction
 
@@ -115,9 +118,49 @@ let test_fork_grown_clone () =
   (* the clone's image grows (exploration metadata): extra pages counted
      against the checkpoint's page count *)
   let final = Bytes.cat live (Bytes.make 320 'm') in
-  let stats = Fork.footprint cp ~final_image:final in
+  let stats = Fork.footprint cp ~patch:(whole final) ~metadata:Bytes.empty in
   Alcotest.(check int) "five extra pages" 5 stats.Fork.unique;
   Alcotest.(check (float 1e-9)) "50% extra" 0.5 stats.Fork.extra_fraction
+
+(* a patch counts the pages of the image it yields, whatever its shape:
+   writes straddling pages, overlapping, growing or cutting the image,
+   metadata starting mid-page. The checkpoint repeats page contents and
+   writes often put back the bytes already there or zero a range, so a
+   page rebuilt wrong changes which pages the checkpoint shares. *)
+let prop_patch_matches_whole =
+  let gen =
+    let open QCheck.Gen in
+    let write = triple (int_bound 900) (int_bound 200) (int_bound 2) in
+    quad (int_range 1 700) (int_bound 900) (list_size (int_bound 6) write)
+      (string_size ~gen:(return 'm') (int_bound 300))
+  in
+  QCheck.Test.make ~name:"fork patch counts as its whole image" ~count:300 (QCheck.make gen)
+    (fun (blen, len, writes, metadata) ->
+      let live = bytes_of blen (fun i -> if i / 64 mod 3 = 0 then 0 else (i mod 64) + (i / 64 mod 2)) in
+      let cp = Fork.checkpoint (Fork.create ~page_size:64 ()) ~live_image:live in
+      let writes =
+        List.filter_map
+          (fun (off, n, kind) ->
+            let n = min n (len - off) in
+            if n <= 0 then None
+            else
+              Some
+                ( off,
+                  Bytes.init n (fun i ->
+                      match kind with
+                      | 0 when off + i < blen -> Bytes.get live (off + i)
+                      | 0 | 1 -> '\000'
+                      | _ -> 'a') ))
+          writes
+      in
+      (* the contract: every byte past the checkpoint's image is written *)
+      let writes = if len > blen then (blen, Bytes.make (len - blen) 'z') :: writes else writes in
+      let final = Bytes.make len '\000' in
+      Bytes.blit live 0 final 0 (min blen len);
+      List.iter (fun (off, b) -> Bytes.blit b 0 final off (Bytes.length b)) writes;
+      let metadata = Bytes.of_string metadata in
+      Fork.footprint cp ~patch:(len, writes) ~metadata
+      = Fork.footprint cp ~patch:(whole (Bytes.cat final metadata)) ~metadata:Bytes.empty)
 
 let test_checkpoint_stats_divergence () =
   let mgr = Fork.create ~page_size:64 () in
@@ -145,5 +188,6 @@ let suite =
     ("fork lifecycle", `Quick, test_fork_lifecycle);
     ("fork unchanged clone", `Quick, test_fork_unchanged_clone);
     ("fork grown clone", `Quick, test_fork_grown_clone);
-    ("checkpoint stats divergence", `Quick, test_checkpoint_stats_divergence)
+    ("checkpoint stats divergence", `Quick, test_checkpoint_stats_divergence);
+    QCheck_alcotest.to_alcotest prop_patch_matches_whole
   ]

@@ -267,7 +267,43 @@ let test_snapshot_overflow_roundtrip () =
   let r' = Router.restore (config ()) image in
   Alcotest.(check bytes) "restore then snapshot" image (Router.snapshot r');
   Alcotest.(check bytes) "clone of the restored router" image
-    (Router.snapshot (Router.clone (Router.restore (config ()) image)))
+    (Router.snapshot (Router.clone (Router.restore (config ()) image)));
+  (* the next image of the same router: withdrawn spilled routes leave
+     the overflow region, re-announced short ones leave it for their
+     slot *)
+  for i = 0 to 9 do
+    ignore (withdraw r ~peer:transit (Printf.sprintf "100.%d.0.0/16" i))
+  done;
+  for i = 10 to 14 do
+    ignore (announce r ~peer:transit (Printf.sprintf "100.%d.0.0/16" i))
+  done;
+  let image = Router.snapshot r in
+  Alcotest.(check bytes) "after withdrawals, restore then snapshot" image
+    (Router.snapshot (Router.restore (config ()) image))
+
+let test_snapshot_patch_is_the_write_set () =
+  (* a clone's patch against its base costs what the clone wrote: an
+     unchanged clone rewrites the header alone, and one more route its
+     three entries' slots (Loc-RIB, Adj-RIB-In, the customer's
+     Adj-RIB-Out) and the 4-byte overflow count the new slots pushed
+     along — not the 600-slot table *)
+  let r = ready () in
+  for i = 0 to 199 do
+    ignore (announce r ~peer:transit (Printf.sprintf "100.%d.%d.0/24" (i / 100) (i mod 100)))
+  done;
+  let base = Router.clone r in
+  let image = Router.snapshot base in
+  let written (_, writes) = List.fold_left (fun n (_, b) -> n + Bytes.length b) 0 writes in
+  let len, writes = Router.snapshot_patch ~base (Router.clone base) in
+  Alcotest.(check int) "an unchanged clone keeps the length" (Bytes.length image) len;
+  Alcotest.(check int) "and rewrites only the header" 1 (List.length writes);
+  let c = Router.clone base in
+  ignore (announce c ~peer:transit "100.9.0.0/24");
+  let patch = Router.snapshot_patch ~base c in
+  Alcotest.(check int) "one route: three slots past the old end" (Bytes.length image + (3 * 256))
+    (fst patch);
+  Alcotest.(check bool) "and little more than three slots written" true
+    (written patch <= (3 * 256) + 256 + 4)
 
 let test_snapshot_restore_behaves () =
   (* the restored router must *behave* identically, not just look alike *)
@@ -367,6 +403,7 @@ let suite =
     ("malformed bytes notification", `Quick, test_malformed_bytes_notification);
     ("snapshot roundtrip", `Quick, test_snapshot_roundtrip);
     ("snapshot overflow roundtrip", `Quick, test_snapshot_overflow_roundtrip);
+    ("snapshot patch is the write set", `Quick, test_snapshot_patch_is_the_write_set);
     ("snapshot restore behaves", `Quick, test_snapshot_restore_behaves);
     ("restore bad image rejected", `Quick, test_restore_bad_image_rejected);
     ("concolic import accept", `Quick, test_import_concolic_accept);

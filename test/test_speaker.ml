@@ -155,8 +155,10 @@ let test_clone_of_restored_base impl () =
       ~next_hop:provider_side ()
   in
   let outcome =
-    Speaker.import_concolic ~ctx:(Dice_concolic.Engine.null ()) a ~peer:provider_side
-      (Croute.of_route (p "100.88.0.0/16") route)
+    match a with
+    | Speaker.Inst ((module M), _, a) ->
+      M.import_concolic ~ctx:(Dice_concolic.Engine.null ()) a ~peer:provider_side
+        (Croute.of_route (p "100.88.0.0/16") route)
   in
   Alcotest.(check bool) "clone A accepted the route" true outcome.Speaker.accepted;
   Alcotest.(check bool) "clone A installed it" true
@@ -228,6 +230,90 @@ let test_clone_captures_the_moment impl () =
   let restored = Speaker.restore_like sp (Speaker.realization sp) image in
   Alcotest.(check bool) "its image lacks the route" true
     (Speaker.best_route restored (p "100.77.0.0/16") = None)
+
+let test_patch_rebuilds_snapshot impl () =
+  (* an explorer clone's footprint is counted from its [snapshot_patch]
+     against the checkpoint, never from a serialization of the clone: the
+     patch laid over the checkpoint's image must give the clone's
+     snapshot byte for byte, and count the same pages. Seeded random
+     accepted imports (some with 80-AS paths, whose payload spills past a
+     BIRD slot into the overflow region), rejected imports, re-announced
+     incumbents and withdrawals, over a base whose layout has holes. *)
+  let rng = Random.State.make [| 18 |] in
+  let route ?(hops = 1) first =
+    Route.make ~origin:Attr.Igp
+      ~as_path:[ Asn.Path.Seq (first :: List.init hops (fun i -> 65000 + i)) ]
+      ~next_hop:provider_side ()
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let fresh () = Printf.sprintf "100.%d.%d.0/24" (Random.State.int rng 8) (Random.State.int rng 4) in
+  for trial = 1 to 12 do
+    match upstream impl ~provider_in:"if net ~ [ 100.64.0.0/10{10,32} ] then reject; accept;" with
+    | Speaker.Inst ((module M), _, live) ->
+      (* holes: snapshot with extra routes, then withdraw some *)
+      let extra = List.init 6 (fun _ -> fresh ()) in
+      ignore (M.feed live ~peer:provider_side (announcement extra));
+      ignore (M.snapshot live);
+      ignore
+        (M.feed live ~peer:provider_side
+           (Msg.Update { withdrawn = [ p (pick extra); p (pick extra) ]; attrs = []; nlri = [] }));
+      let base = M.clone live in
+      let img = M.snapshot base in
+      let ops =
+        List.init (1 + Random.State.int rng 8) (fun _ ->
+            match Random.State.int rng 5 with
+            | 0 -> `Import (fresh (), 1)
+            | 1 -> `Import (fresh (), 80)
+            | 2 -> `Import (Printf.sprintf "100.%d.0.0/16" (64 + Random.State.int rng 64), 1)
+            | 3 -> `Reannounce (fst (pick incumbents))
+            | _ -> `Withdraw (pick (List.map fst incumbents @ extra)))
+      in
+      let apply sp = function
+        | `Import (prefix, hops) ->
+          ignore
+            (M.import_concolic ~ctx:(Dice_concolic.Engine.null ()) sp ~peer:provider_side
+               (Croute.of_route (p prefix) (route ~hops 64510)))
+        | `Reannounce prefix ->
+          ignore
+            (M.feed sp ~peer:collector
+               (Msg.Update
+                  { withdrawn = [];
+                    attrs = Route.to_attrs { (route ~hops:2 64701) with Route.next_hop = collector };
+                    nlri = [ p prefix ] }))
+        | `Withdraw prefix ->
+          List.iter
+            (fun peer ->
+              ignore
+                (M.feed sp ~peer
+                   (Msg.Update { withdrawn = [ p prefix ]; attrs = []; nlri = [] })))
+            [ collector; provider_side ]
+      in
+      let a = M.clone base and b = M.clone base in
+      List.iter (apply a) ops;
+      List.iter (apply b) ops;
+      let ((len, writes) as patch) = M.snapshot_patch ~base a in
+      let rebuilt = Bytes.make len '\000' in
+      Bytes.blit img 0 rebuilt 0 (min len (Bytes.length img));
+      List.iter (fun (off, w) -> Bytes.blit w 0 rebuilt off (Bytes.length w)) writes;
+      let image = M.snapshot b in
+      Alcotest.(check bytes) (Printf.sprintf "trial %d: the patched image is the snapshot" trial)
+        image rebuilt;
+      let cp = Dice_checkpoint.Fork.(checkpoint (create ()) ~live_image:img) in
+      let metadata = Bytes.make (Random.State.int rng 6000) 'm' in
+      let by_patch = Dice_checkpoint.Fork.footprint cp ~patch ~metadata in
+      let by_image =
+        Dice_checkpoint.Fork.footprint cp
+          ~patch:(Bytes.length image + Bytes.length metadata, [ (0, Bytes.cat image metadata) ])
+          ~metadata:Bytes.empty
+      in
+      let fields (s : Dice_checkpoint.Fork.clone_stats) =
+        Dice_checkpoint.Fork.(s.pages, s.unique, s.unique_fraction, s.extra_fraction)
+      in
+      Alcotest.(check (pair (pair int int) (pair (float 0.) (float 0.))))
+        (Printf.sprintf "trial %d: the same footprint as the whole image" trial)
+        (let a, b, c, d = fields by_image in ((a, b), (c, d)))
+        (let a, b, c, d = fields by_patch in ((a, b), (c, d)))
+  done
 
 let test_explores_as_live_node impl () =
   (* the full checkpoint–symbolize–explore loop with this implementation
@@ -503,6 +589,8 @@ let conformance impl =
     (impl ^ ": tables past 65,535 routes round-trip", `Quick,
       test_large_table_roundtrip impl);
     (impl ^ ": freeze captures the moment", `Quick, test_clone_captures_the_moment impl);
+    (impl ^ ": a clone's patch rebuilds its snapshot", `Quick,
+      test_patch_rebuilds_snapshot impl);
     (impl ^ ": serves as the explored live node", `Quick, test_explores_as_live_node impl);
     (impl ^ ": local/remote transport equivalence", `Quick,
       test_local_remote_equivalence impl);

@@ -217,6 +217,68 @@ let prop_covering_covered_dual =
       List.sort Prefix.compare covering = List.sort Prefix.compare expect_covering
       && List.sort Prefix.compare covered = List.sort Prefix.compare expect_covered)
 
+(* [diff] against the naive difference of the two binding lists, for a
+   [b] derived from [a] by adds and removes (so the two share subtrees)
+   and for an unrelated [b] *)
+let naive_diff a b =
+  let la = T.to_list a and lb = T.to_list b in
+  let only l other tag =
+    List.filter_map
+      (fun (q, v) -> if List.mem_assoc q other then None else Some (tag q v))
+      l
+  in
+  let changed =
+    List.filter_map
+      (fun (q, v) ->
+        match List.assoc_opt q lb with
+        | Some w when w <> v -> Some (q, Some v, Some w)
+        | Some _ | None -> None)
+      la
+  in
+  List.sort compare
+    (changed
+    @ only la lb (fun q v -> (q, Some v, None))
+    @ only lb la (fun q w -> (q, None, Some w)))
+
+let prop_diff =
+  let arb_prefix =
+    QCheck.map
+      (fun (a, l) -> Prefix.make (a land 0xFFFFFFFF) l)
+      (QCheck.pair (QCheck.int_bound 0xFFFFFF) (QCheck.int_bound 32))
+  in
+  let bindings = QCheck.list_of_size (QCheck.Gen.int_range 0 40) (QCheck.pair arb_prefix QCheck.small_int) in
+  let edits =
+    QCheck.list_of_size (QCheck.Gen.int_range 0 12)
+      (QCheck.oneof
+         [ QCheck.map (fun (q, v) -> `Add (q, v)) (QCheck.pair arb_prefix QCheck.small_int);
+           QCheck.map (fun i -> `Remove_nth i) QCheck.small_nat;
+           QCheck.map (fun q -> `Remove q) arb_prefix ])
+  in
+  QCheck.Test.make ~name:"diff agrees with the naive binding difference" ~count:300
+    (QCheck.triple bindings edits bindings)
+    (fun (init, edits, unrelated) ->
+      let a = T.of_list init in
+      let b =
+        List.fold_left
+          (fun t edit ->
+            match edit with
+            | `Add (q, v) -> T.add q v t
+            | `Remove q -> T.remove q t
+            | `Remove_nth i -> begin
+              match T.to_list t with
+              | [] -> t
+              | l -> T.remove (fst (List.nth l (i mod List.length l))) t
+            end)
+          a edits
+      in
+      let check a b =
+        let d = T.diff ( = ) a b in
+        List.sort compare d = naive_diff a b
+        && List.map (fun (q, _, _) -> q) d
+           = List.sort Prefix.compare (List.map (fun (q, _, _) -> q) d)
+      in
+      check a b && check b a && check a (T.of_list unrelated) && check a a)
+
 let suite =
   [ ("empty", `Quick, test_empty);
     ("add/find", `Quick, test_add_find);
@@ -235,5 +297,6 @@ let suite =
     ("descent mismatch", `Quick, test_descent_stops_at_mismatch);
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_to_list_sorted;
-    QCheck_alcotest.to_alcotest prop_covering_covered_dual
+    QCheck_alcotest.to_alcotest prop_covering_covered_dual;
+    QCheck_alcotest.to_alcotest prop_diff
   ]
