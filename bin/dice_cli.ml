@@ -239,14 +239,21 @@ let mk_remote_agents ~speaker n =
    From here on, nothing outside the agents can reach their speakers —
    probes travel as frames over the (lossy, latent) links.
 
-   With [crash_tolerant], each serving node also gets the full recovery
+   A link fault model lands on every client-server probe link and a
+   crash model on every serving node, each with its RNG reseeded so the
+   whole run replays from [fault_seed] / [crash_seed].
+
+   With a crash model, each serving node also gets the full recovery
    stack: a {!Distributed.Recovery} harness wired as its restart hook
    (rebuild the speaker from snapshot + journal on every restart),
    heartbeats toward the exploring client (the liveness signal the
    endpoint's health monitor reads), and endpoints configured with
    jittered backoff plus a circuit breaker so a down node's probes fail
    fast instead of burning the full timeout x retries budget. *)
-let remotify ?(crash_tolerant = false) net serving_agents =
+let remotify ~probe_faults ~fault_seed ~node_faults ~crash_seed net serving_agents =
+  let crash_tolerant = node_faults <> None in
+  if probe_faults <> None then Dice_sim.Network.set_fault_seed net fault_seed;
+  if crash_tolerant then Dice_sim.Network.set_crash_seed net crash_seed;
   let cl = Probe_rpc.client net ~name:"explorer-probe" in
   let config =
     if crash_tolerant then
@@ -262,6 +269,12 @@ let remotify ?(crash_tolerant = false) net serving_agents =
       let srv = Distributed.serve net a in
       Dice_sim.Network.connect net (Probe_rpc.client_node cl)
         (Probe_rpc.server_node srv) ~latency:0.005;
+      Option.iter
+        (Dice_sim.Network.set_faults net (Probe_rpc.client_node cl)
+           (Probe_rpc.server_node srv))
+        probe_faults;
+      Option.iter (Dice_sim.Network.set_node_faults net (Probe_rpc.server_node srv))
+        node_faults;
       if crash_tolerant then begin
         let harness = Distributed.Recovery.attach a in
         Dice_sim.Network.set_restart_hook net (Probe_rpc.server_node srv)
@@ -568,16 +581,16 @@ let detect_leaks_testbed filtering seed prefixes runs jobs agents speaker panel
     if crash_rate = 0.0 then None
     else Some (Dice_sim.Faults.node ~crash:crash_rate ~downtime:crash_downtime ())
   in
+  let probe_faults =
+    if loss = 0.0 && dup = 0.0 && reorder = 0 then None
+    else Some (Dice_sim.Faults.make ~drop:loss ~duplicate:dup ~reorder ())
+  in
   let remote_agents =
     match transport with
     | `Local -> serving_agents
     | `Remote ->
-      remotify ~crash_tolerant:(node_faults <> None) topo.Threerouter.net
-        serving_agents
-  in
-  let probe_faults =
-    if loss = 0.0 && dup = 0.0 && reorder = 0 then None
-    else Some (Dice_sim.Faults.make ~drop:loss ~duplicate:dup ~reorder ())
+      remotify ~probe_faults ~fault_seed ~node_faults ~crash_seed
+        topo.Threerouter.net serving_agents
   in
   if probe_faults <> None && transport = `Local then
     prerr_endline
@@ -622,9 +635,6 @@ let detect_leaks_testbed filtering seed prefixes runs jobs agents speaker panel
         };
       checkers = Orchestrator.default_cfg.Orchestrator.checkers @ panel_checkers;
       federation = Orchestrator.federation ~agents:remote_agents ~probe_jobs:(max 1 jobs);
-      faults =
-        Orchestrator.faults ?node:node_faults ~crash_seed ~probe:probe_faults
-          ~seed:fault_seed ();
     }
   in
   let dice = Orchestrator.create ~cfg (Speakers.bird provider) in

@@ -7,9 +7,11 @@
 open Dice_bgp
 open Dice_concolic
 
+(* the three-pattern import filter of the F1 and A2 tables in
+   EXPERIMENTS.md *)
 let filter_text =
   {|
-  if net ~ [ 10.0.0.0/8{8,24}, 172.16.0.0/12{12,24} ] then {
+  if net ~ [ 10.0.0.0/8{8,24}, 172.16.0.0/12{12,24}, 192.168.0.0/16+ ] then {
     if bgp_med > 50 then {
       bgp_local_pref = 80;
       accept;
@@ -17,7 +19,6 @@ let filter_text =
     bgp_local_pref = 120;
     accept;
   }
-  if bgp_path.len > 6 then reject;
   if bgp_origin = 2 then reject;
   accept;
   |}
@@ -60,14 +61,17 @@ let () =
   (* show the actual inputs DFS generated, Figure-1 style *)
   let report =
     Explorer.explore
-      ~config:{ Explorer.default_config with Explorer.max_runs = 16 }
+      ~config:{ Explorer.default_config with Explorer.max_runs = 64 }
       program
   in
-  print_endline "first runs of the DFS exploration (negated predicates -> new inputs):";
+  print_endline "runs of the DFS exploration (negated predicates -> new inputs):";
   List.iter
     (fun (r : Explorer.run) ->
       Printf.printf "  run %-3d path-length=%-3d new-directions=%-2d %s\n" r.index
         r.path_length r.new_directions
         (String.concat ", "
            (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) r.assignment)))
-    report.Explorer.runs
+    report.Explorer.runs;
+  Printf.printf "negations: %d attempted, %d sat, %d unsat, %d gave up\n"
+    report.Explorer.negations_attempted report.Explorer.negations_sat
+    report.Explorer.negations_unsat report.Explorer.negations_gave_up

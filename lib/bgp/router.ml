@@ -305,14 +305,8 @@ let rib_walk_probe ctx t (cr : Croute.t) =
       (Rib.Loc.descent concrete_addr t.loc)
   end
 
-type import_outcome = {
-  prefix : Prefix.t;
-  accepted : bool;
-  installed : bool;
-  route : Route.t option;
-  previous_best : Rib.Loc.entry option;
-  outputs : output list;
-}
+let to_peer_msgs outputs =
+  List.filter_map (function To_peer (dst, m) -> Some (dst, m) | _ -> None) outputs
 
 let import_concolic ~ctx t ~peer croute =
   let p = peer_exn t peer in
@@ -320,7 +314,7 @@ let import_concolic ~ctx t ~peer croute =
   let rejected why =
     ignore why;
     {
-      prefix = Croute.prefix_of croute;
+      Import.prefix = Croute.prefix_of croute;
       accepted = false;
       installed = false;
       route = None;
@@ -351,13 +345,13 @@ let import_concolic ~ctx t ~peer croute =
       (* record the concolic would-beat constraints for the explorer *)
       let _would_beat = concolic_beats ctx cr previous_best in
       p.adj_in <- Rib.Adj.add prefix route p.adj_in;
-      let outputs = reconsider ~ctx t prefix in
+      let outputs = to_peer_msgs (reconsider ~ctx t prefix) in
       let installed =
         match Rib.Loc.find_opt prefix t.loc with
         | Some e -> e.Rib.Loc.src.Route.peer_addr = peer && Route.equal e.Rib.Loc.route route
         | None -> false
       in
-      { prefix; accepted = true; installed; route = Some route; previous_best; outputs }
+      { Import.prefix; accepted = true; installed; route = Some route; previous_best; outputs }
   end
 
 (* Normal-path UPDATE processing. *)
@@ -389,7 +383,7 @@ let process_update ?(ctx = Engine.null ()) t ~peer (u : Msg.update) =
         (fun prefix ->
           let croute = Croute.of_route prefix route in
           let outcome = import_concolic ~ctx t ~peer croute in
-          outs := !outs @ outcome.outputs;
+          outs := !outs @ List.map (fun (dst, m) -> To_peer (dst, m)) outcome.Import.outputs;
           if not outcome.accepted then begin
             (* policy-rejected: ensure any previous version is gone *)
             if Rib.Adj.find_opt prefix p.adj_in <> None then begin

@@ -68,21 +68,13 @@ val updates_processed : t -> int
 
 (** {1 Concolic import (the exploration entry point)} *)
 
-type import_outcome = {
-  prefix : Prefix.t;  (** concretized NLRI of the explored announcement *)
-  accepted : bool;  (** survived loop check and import policy *)
-  installed : bool;  (** won the decision process and entered the Loc-RIB *)
-  route : Route.t option;  (** the concretized imported route, if accepted *)
-  previous_best : Rib.Loc.entry option;
-      (** the Loc-RIB entry for [prefix] before this import *)
-  outputs : output list;  (** export traffic this import would generate *)
-}
-
 val import_concolic :
-  ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> import_outcome
+  ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> Import.outcome
 (** Run one (symbolized) announcement through the full import path —
     loop detection, import filter, decision process, Loc-RIB update and
-    export generation — recording path constraints via [ctx]. Mutates this
+    export generation — recording path constraints via [ctx]. The
+    outcome's [outputs] are the {!To_peer} messages the import would
+    send. Mutates this
     router; during exploration, call it on a clone, never on the live
     instance. @raise Invalid_argument if [peer] is not configured. *)
 

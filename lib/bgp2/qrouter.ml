@@ -237,21 +237,12 @@ let session_clear ?ctx t (p : peer_st) =
 (* Import path                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type import_outcome = {
-  prefix : Prefix.t;
-  accepted : bool;
-  installed : bool;
-  route : Route.t option;
-  previous_best : Rib.Loc.entry option;
-  outputs : (Ipv4.t * Msg.t) list;
-}
-
 let import_concolic ~ctx t ~peer croute =
   let p = peer_exn t peer in
   t.updates <- t.updates + 1;
   let rejected () =
     {
-      prefix = Croute.prefix_of croute;
+      Import.prefix = Croute.prefix_of croute;
       accepted = false;
       installed = false;
       route = None;
@@ -285,7 +276,7 @@ let import_concolic ~ctx t ~peer croute =
         | Some e -> e.Rib.Loc.src.Route.peer_addr = peer && Route.equal e.Rib.Loc.route route
         | None -> false
       in
-      { prefix; accepted = true; installed; route = Some route; previous_best; outputs }
+      { Import.prefix; accepted = true; installed; route = Some route; previous_best; outputs }
   end
 
 let process_update ~ctx t ~peer (u : Msg.update) =
@@ -305,7 +296,7 @@ let process_update ~ctx t ~peer (u : Msg.update) =
       List.iter
         (fun prefix ->
           let outcome = import_concolic ~ctx t ~peer (Croute.of_route prefix route) in
-          outs := !outs @ outcome.outputs;
+          outs := !outs @ outcome.Import.outputs;
           if not outcome.accepted then withdraw prefix)
         u.Msg.nlri
   end

@@ -66,19 +66,7 @@ val feed : ?ctx:Engine.ctx -> t -> peer:Ipv4.t -> Msg.t -> (Ipv4.t * Msg.t) list
 (* ------------------------------------------------------------------ *)
 (* Import path *)
 
-type import_outcome = {
-  prefix : Prefix.t;
-  accepted : bool;
-  installed : bool;
-  route : Route.t option;
-  previous_best : Rib.Loc.entry option;
-  outputs : (Ipv4.t * Msg.t) list;
-}
-(** Structurally the same record as [Dice_core.Speaker.import_outcome];
-    spelled out here because this library sits {e below} the core (the
-    adapter in the core's speaker registry converts field by field). *)
-
-val import_concolic : ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> import_outcome
+val import_concolic : ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> Import.outcome
 (** One announcement through loop check, import policy (the shared,
     recording interpreter) and the concrete Quagga decision process. *)
 

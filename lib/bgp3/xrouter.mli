@@ -51,16 +51,7 @@ val establish : t -> peer:Ipv4.t -> unit
 
 val session_up : t -> peer:Ipv4.t -> bool
 
-type import_outcome = {
-  prefix : Prefix.t;
-  accepted : bool;
-  installed : bool;
-  route : Route.t option;
-  previous_best : Rib.Loc.entry option;
-  outputs : (Ipv4.t * Msg.t) list;
-}
-
-val import_concolic : ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> import_outcome
+val import_concolic : ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> Import.outcome
 (** One announcement through loop check, the shared (recording) policy
     interpreter, and the concrete XORP-flavored decision process.
     @raise Invalid_argument on an unconfigured peer. *)

@@ -11,7 +11,7 @@ type seed = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Configuration: three nested concern groups plus the checker list.   *)
+(* Configuration: two nested concern groups plus the checker list.     *)
 (* Smart constructors validate; the records stay transparent so call   *)
 (* sites can start from the default values and override with record    *)
 (* update syntax.                                                      *)
@@ -30,32 +30,15 @@ type federation = {
   probe_jobs : int;
 }
 
-type faults = {
-  probe : Dice_sim.Faults.t option;
-  seed : int64;
-  node : Dice_sim.Faults.node option;
-  crash_seed : int64;
-}
-
 type cfg = {
   exploration : exploration;
   checkers : Checker.t list;
   federation : federation;
-  faults : faults;
 }
 
 let federation ~agents ~probe_jobs =
   if probe_jobs < 1 then invalid_arg "Orchestrator.federation: probe_jobs must be >= 1";
   { agents; probe_jobs }
-
-let faults ?node ?(crash_seed = Dice_sim.Network.default_crash_seed) ~probe ~seed () =
-  (match probe with
-  | Some f -> Dice_sim.Faults.validate f
-  | None -> ());
-  (match node with
-  | Some nf -> Dice_sim.Faults.validate_node nf
-  | None -> ());
-  { probe; seed; node; crash_seed }
 
 let default_exploration =
   {
@@ -67,19 +50,12 @@ let default_exploration =
   }
 
 let default_federation = { agents = []; probe_jobs = 1 }
-let default_faults =
-  { probe = None;
-    seed = 42L;
-    node = None;
-    crash_seed = Dice_sim.Network.default_crash_seed;
-  }
 
 let default_cfg =
   {
     exploration = default_exploration;
     checkers = [ Hijack.checker ];
     federation = default_federation;
-    faults = default_faults;
   }
 
 type t = {
@@ -90,29 +66,6 @@ type t = {
 }
 
 let create ?(cfg = default_cfg) live =
-  (* Chaos knobs: a link fault model in the config lands on every
-     remote agent's probe link, a node crash model on every remote
-     agent's serving node, each with its RNG reseeded so the whole run
-     replays from [cfg.faults.seed] / [cfg.faults.crash_seed]. Local
-     agents have no wire to perturb and no node to crash. *)
-  (if cfg.faults.probe <> None || cfg.faults.node <> None then
-     List.iter
-       (fun a ->
-         match Distributed.agent_transport a with
-         | Distributed.Remote ep ->
-           let net, cnode, snode = Probe_rpc.endpoint_link ep in
-           (match cfg.faults.probe with
-           | None -> ()
-           | Some f ->
-             Dice_sim.Network.set_fault_seed net cfg.faults.seed;
-             Dice_sim.Network.set_faults net cnode snode f);
-           (match cfg.faults.node with
-           | None -> ()
-           | Some nf ->
-             Dice_sim.Network.set_crash_seed net cfg.faults.crash_seed;
-             Dice_sim.Network.set_node_faults net snode nf)
-         | Distributed.Local _ -> ())
-       cfg.federation.agents);
   (* Cooperating remote agents become one more checker: every exploration
      outcome is probed across the domain boundary, [probe_jobs] probes at
      a time over the worker pool. *)
@@ -127,8 +80,6 @@ let create ?(cfg = default_cfg) live =
       }
   in
   { live; cfg; rev_seeds = []; seed_counter = 0 }
-
-let speaker t = t.live
 
 let observe t ~peer ~prefix ~route =
   let tag = Printf.sprintf "seed%d" t.seed_counter in

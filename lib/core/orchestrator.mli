@@ -38,9 +38,8 @@ type seed = {
 (** {1 Configuration}
 
     Grouped by concern into nested records — what to explore and how
-    hard ({!exploration}), which remote domains cooperate
-    ({!federation}), and what chaos to inject on their wires
-    ({!faults}) — following the constructor convention documented in
+    hard ({!exploration}) and which remote domains cooperate
+    ({!federation}) — following the constructor convention documented in
     {!Checker}: validating smart constructors with required labelled
     arguments where a group has invariants, and defaults exported as
     values ({!default_exploration} and friends), so a call site writes
@@ -72,51 +71,14 @@ type federation = {
           agents) or the wire ([Remote] agents) *)
 }
 
-type faults = {
-  probe : Dice_sim.Faults.t option;
-      (** when set, this fault model is installed on every [Remote]
-          agent's probe link at {!create} time — loss, duplication,
-          reordering and corruption on the federated wire, with the RPC
-          layer expected to stay correct under it. [None] (the default)
-          leaves links as the caller wired them. Local agents are
-          unaffected: they have no wire. *)
-  seed : int64;
-      (** seed for the probe networks' fault RNG streams (applied with
-          [probe]); equal seeds replay identical fault schedules *)
-  node : Dice_sim.Faults.node option;
-      (** when set, this crash model is installed on every [Remote]
-          agent's {e serving node} at {!create} time: frame arrivals at
-          the node may crash it (buffering, not losing, in-flight
-          frames) for [downtime] virtual seconds before the automatic
-          restart fires the node's restart hook (typically a
-          {!Distributed.Recovery.crash_restart}). [None] (the default)
-          crashes nobody. *)
-  crash_seed : int64;
-      (** seed for the crash RNG stream (applied with [node], distinct
-          from the link-fault stream so adding crashes does not reshuffle
-          link faults); equal seeds replay identical crash schedules *)
-}
-
 type cfg = {
   exploration : exploration;
   checkers : Checker.t list;
   federation : federation;
-  faults : faults;
 }
 
 val federation : agents:Distributed.agent list -> probe_jobs:int -> federation
 (** @raise Invalid_argument if [probe_jobs < 1]. *)
-
-val faults :
-  ?node:Dice_sim.Faults.node ->
-  ?crash_seed:int64 ->
-  probe:Dice_sim.Faults.t option ->
-  seed:int64 ->
-  unit ->
-  faults
-(** @raise Invalid_argument on an invalid fault model
-    ({!Dice_sim.Faults.validate} / {!Dice_sim.Faults.validate_node}).
-    [crash_seed] defaults to {!Dice_sim.Network.default_crash_seed}. *)
 
 val default_exploration : exploration
 (** DFS explorer (96 runs, depth 64), selective symbolization, 4 seeds,
@@ -125,19 +87,14 @@ val default_exploration : exploration
 val default_federation : federation
 (** No agents, 1 probe job. *)
 
-val default_faults : faults
-(** No probe faults (seed 42), no node crashes (default crash seed). *)
-
 val default_cfg : cfg
 (** {!default_exploration} + the {!Hijack.checker} +
-    {!default_federation} + {!default_faults}. *)
+    {!default_federation}. *)
 
 type t
 
 val create : ?cfg:cfg -> Speaker.instance -> t
 (** Attach DiCE to a live speaker. *)
-
-val speaker : t -> Speaker.instance
 
 val observe : t -> peer:Ipv4.t -> prefix:Prefix.t -> route:Route.t -> unit
 (** Record an observed input as an exploration seed. *)

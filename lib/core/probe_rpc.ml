@@ -228,7 +228,6 @@ let endpoint ?(config = default_config) ?(seed = default_endpoint_seed) ecl ~ser
     calls = 0; retried = 0; timed_out = 0; declined = 0; fail_fast = 0; opens = 0;
     consec_timeouts = 0; breaker = Closed; trial_in_flight = false }
 
-let endpoint_link ep = (ep.ecl.net, ep.ecl.node, ep.server)
 let endpoint_health ep = ep.health
 
 let breaker_state ep =

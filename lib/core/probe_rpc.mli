@@ -149,11 +149,6 @@ val endpoint :
     cooldown schedules. Creating the endpoint also registers its
     {!Health} monitor for the server's heartbeats on this client. *)
 
-val endpoint_link : endpoint -> Network.t * Network.node_id * Network.node_id
-(** The wire under an endpoint: [(network, client node, server node)].
-    This is the link to cut for a partition, or to hand a
-    {!Dice_sim.Faults} model for chaos runs. *)
-
 val endpoint_health : endpoint -> Health.t
 (** The endpoint's liveness monitor: fed passively by the server's
     heartbeats arriving at this client, and actively by every probe

@@ -2,7 +2,7 @@ open Dice_inet
 open Dice_bgp
 open Dice_concolic
 
-type import_outcome = {
+type import_outcome = Import.outcome = {
   prefix : Prefix.t;
   accepted : bool;
   installed : bool;

@@ -52,20 +52,18 @@ open Dice_inet
 open Dice_bgp
 open Dice_concolic
 
-type import_outcome = {
-  prefix : Prefix.t;  (** concretized NLRI of the explored announcement *)
-  accepted : bool;  (** survived loop check and import policy *)
-  installed : bool;  (** won the decision process and entered the table *)
-  route : Route.t option;  (** the concretized imported route, if accepted *)
+type import_outcome = Import.outcome = {
+  prefix : Prefix.t;
+  accepted : bool;
+  installed : bool;
+  route : Route.t option;
   previous_best : Rib.Loc.entry option;
-      (** the best-route entry for [prefix] before this import *)
   outputs : (Ipv4.t * Msg.t) list;
-      (** export traffic this import would generate, per destination
-          session — the implementation-neutral projection of whatever
-          effect type the speaker uses internally *)
 }
 (** What one explored import did — the value every fault checker is
-    written against ({!Checker.t}). *)
+    written against ({!Checker.t}); {!Dice_bgp.Import.outcome}, where
+    the fields are documented, re-exported so every implementation's
+    [import_concolic] returns it as is. *)
 
 (** What the operator supplied. *)
 type source =

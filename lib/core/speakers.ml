@@ -44,16 +44,7 @@ module Bird = struct
 
   let feed ?ctx t ~peer msg = msgs_of (Router.handle_msg ?ctx t ~peer msg)
 
-  let import_concolic ~ctx t ~peer croute =
-    let o = Router.import_concolic ~ctx t ~peer croute in
-    {
-      Speaker.prefix = o.Router.prefix;
-      accepted = o.Router.accepted;
-      installed = o.Router.installed;
-      route = o.Router.route;
-      previous_best = o.Router.previous_best;
-      outputs = msgs_of o.Router.outputs;
-    }
+  let import_concolic = Router.import_concolic
 
   let loc_rib = Router.loc_rib
   let best_route = Router.best_route
@@ -81,16 +72,7 @@ module Quagga = struct
   let establish t ~peer = Qrouter.establish t ~peer
   let feed ?ctx t ~peer msg = Qrouter.feed ?ctx t ~peer msg
 
-  let import_concolic ~ctx t ~peer croute =
-    let o = Qrouter.import_concolic ~ctx t ~peer croute in
-    {
-      Speaker.prefix = o.Qrouter.prefix;
-      accepted = o.Qrouter.accepted;
-      installed = o.Qrouter.installed;
-      route = o.Qrouter.route;
-      previous_best = o.Qrouter.previous_best;
-      outputs = o.Qrouter.outputs;
-    }
+  let import_concolic = Qrouter.import_concolic
 
   let loc_rib = Qrouter.table
   let best_route = Qrouter.best_route
@@ -113,16 +95,7 @@ module Xorp = struct
   let establish t ~peer = Xrouter.establish t ~peer
   let feed ?ctx t ~peer msg = Xrouter.feed ?ctx t ~peer msg
 
-  let import_concolic ~ctx t ~peer croute =
-    let o = Xrouter.import_concolic ~ctx t ~peer croute in
-    {
-      Speaker.prefix = o.Xrouter.prefix;
-      accepted = o.Xrouter.accepted;
-      installed = o.Xrouter.installed;
-      route = o.Xrouter.route;
-      previous_best = o.Xrouter.previous_best;
-      outputs = o.Xrouter.outputs;
-    }
+  let import_concolic = Xrouter.import_concolic
 
   let loc_rib = Xrouter.table
   let best_route = Xrouter.best_route
@@ -164,17 +137,6 @@ let dialect name : (module Dialect.S) option =
   | "quagga" -> Some (module Dice_bgp2.Quagga_dialect)
   | "xorp" -> Some (module Dice_bgp3.Xorp_dialect)
   | _ -> None
-
-let dialects = List.filter_map dialect names
-
-let dialect_exn name =
-  match dialect name with
-  | Some d -> d
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown configuration dialect: %s (known: %s)" name
-         (String.concat ", "
-            (List.map (fun (module D : Dialect.S) -> D.name) dialects)))
 
 let create name source =
   match name with

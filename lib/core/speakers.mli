@@ -59,9 +59,3 @@ val names : string list
 val dialect : string -> (module Dice_bgp.Dialect.S) option
 (** The dialect an implementation name configures in. *)
 
-val dialect_exn : string -> (module Dice_bgp.Dialect.S)
-(** @raise Invalid_argument on an unknown name, enumerating the known
-    dialects — the same discipline as {!create_exn}. *)
-
-val dialects : (module Dice_bgp.Dialect.S) list
-(** Every registered dialect, in {!names} order. *)

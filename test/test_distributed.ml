@@ -422,8 +422,7 @@ let test_checker_finds_remote_conflicts () =
   in
   let provider, customer_route = provider_with_customer () in
   let cfg =
-    { Orchestrator.default_cfg with
-      Orchestrator.checkers = [ Hijack.checker ];
+    { Orchestrator.checkers = [ Hijack.checker ];
       federation = Orchestrator.federation ~agents:[ agent ] ~probe_jobs:1;
       exploration =
         { Orchestrator.default_exploration with

@@ -257,7 +257,7 @@ let prop_import_concolic_matches_concrete_processing =
       in
       let best r = Option.map (fun (e : Rib.Loc.entry) -> e.Rib.Loc.route) (Router.best_route r prefix) in
       best via_msg = best via_concolic
-      && outcome.Router.accepted = (best via_msg <> None && Router.best_route via_msg prefix <> None
+      && outcome.Import.accepted = (best via_msg <> None && Router.best_route via_msg prefix <> None
                                     || Rib.Adj.find_opt prefix
                                          (Option.value (Router.adj_rib_in via_msg peer_a)
                                             ~default:Rib.Adj.empty)

@@ -332,9 +332,9 @@ let test_import_concolic_accept () =
   let cr = Croute.of_route (p "203.0.113.0/24") route in
   let ctx = Engine.null () in
   let outcome = Router.import_concolic ~ctx r ~peer:customer cr in
-  Alcotest.(check bool) "accepted" true outcome.Router.accepted;
-  Alcotest.(check bool) "installed" true outcome.Router.installed;
-  Alcotest.(check bool) "no previous" true (outcome.Router.previous_best = None)
+  Alcotest.(check bool) "accepted" true outcome.Import.accepted;
+  Alcotest.(check bool) "installed" true outcome.Import.installed;
+  Alcotest.(check bool) "no previous" true (outcome.Import.previous_best = None)
 
 let test_import_concolic_reject () =
   let r = ready () in
@@ -343,8 +343,8 @@ let test_import_concolic_reject () =
   in
   let cr = Croute.of_route (p "10.99.0.0/16") route in
   let outcome = Router.import_concolic ~ctx:(Engine.null ()) r ~peer:customer cr in
-  Alcotest.(check bool) "rejected" false outcome.Router.accepted;
-  Alcotest.(check bool) "not installed" false outcome.Router.installed
+  Alcotest.(check bool) "rejected" false outcome.Import.accepted;
+  Alcotest.(check bool) "not installed" false outcome.Import.installed
 
 let test_import_concolic_previous_best () =
   let r = ready () in
@@ -354,11 +354,11 @@ let test_import_concolic_previous_best () =
   in
   let cr = Croute.of_route (p "203.0.113.0/24") route in
   let outcome = Router.import_concolic ~ctx:(Engine.null ()) r ~peer:customer cr in
-  (match outcome.Router.previous_best with
+  (match outcome.Import.previous_best with
   | Some e ->
     Alcotest.(check (option int)) "old origin" (Some 64999) (Route.origin_as e.Rib.Loc.route)
   | None -> Alcotest.fail "expected a previous best");
-  Alcotest.(check bool) "new route wins (lp 120)" true outcome.Router.installed
+  Alcotest.(check bool) "new route wins (lp 120)" true outcome.Import.installed
 
 let test_import_concolic_unknown_peer () =
   let r = ready () in
@@ -379,7 +379,7 @@ let test_import_concolic_records_constraints () =
     Dice_core.Symbolize.croute ctx ~tag:"t" ~prefix:(p "203.0.113.0/24") ~route
   in
   let outcome = Router.import_concolic ~ctx r ~peer:customer cr in
-  Alcotest.(check bool) "accepted" true outcome.Router.accepted;
+  Alcotest.(check bool) "accepted" true outcome.Import.accepted;
   Alcotest.(check bool) "path constraints recorded" true
     (Dice_concolic.Path.length (Engine.path ctx) > 0)
 
