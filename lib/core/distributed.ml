@@ -89,7 +89,8 @@ let agent_health t = t.health
    covers the read of the live speaker's mutable cells; [checkpoints]
    keeps its historical meaning — distinct live-state versions cloned
    against — so one burst of probes against an unchanged speaker still
-   counts as one logical checkpoint. *)
+   counts as one logical checkpoint. Returns the live version the clone
+   was taken at with the clone. *)
 let take_clone t live =
   Mutex.protect t.lock (fun () ->
       let version = Speaker.updates_processed live in
@@ -99,13 +100,31 @@ let take_clone t live =
         t.cloned_version <- Some version;
         Atomic.incr t.checkpoints);
       Atomic.incr t.clones;
-      Speaker.clone live)
+      (version, Speaker.clone live))
+
+(* The pre-probe Loc-RIB, shared by the probes of one group (one agent
+   within one [probe_all] call). Materializing it folds the whole table
+   on implementations whose Loc-RIB is a view, so a group takes it once,
+   from the first uncached probe's clone before that clone is fed, and
+   reuses it while later clones are taken of the same live speaker at
+   the same version (a crash restart swaps the speaker). It is never
+   taken from the live speaker: folding a mutable table flips its
+   traversal state while other workers may be cloning it. *)
+type view = (Speaker.instance * int * Rib.Loc.t) option ref
+
+let pre_loc_rib (view : view) live version clone =
+  match !view with
+  | Some (l, v, rib) when l == live && v = version -> rib
+  | Some _ | None ->
+    let rib = Speaker.loc_rib clone in
+    view := Some (live, version, rib);
+    rib
 
 let in_whitelist anycast prefix = List.exists (fun a -> Prefix.subsumes a prefix) anycast
 
-let probe_uncached t live ~from (u : Msg.update) msg =
-  let clone = take_clone t live in
-  let pre = Speaker.loc_rib clone in
+let probe_uncached t live view ~from (u : Msg.update) msg =
+  let version, clone = take_clone t live in
+  let pre = pre_loc_rib view live version clone in
   let anycast = (Speaker.config live).Config_types.anycast in
   let announced_origin =
     match Route.of_attrs u.Msg.attrs with
@@ -167,13 +186,13 @@ let declinable msg =
   | Msg.Update _ -> Some "message announces no prefixes"
   | Msg.Open _ | Msg.Notification _ | Msg.Keepalive -> Some "not an announcement"
 
-let probe_local t live ~from u msg =
+let probe_local t live view ~from u msg =
   let version = Speaker.updates_processed live in
   let key = Probe_wire.canonical_request ~from msg in
   match Dice_exec.Vcache.find t.vcache ~version key with
   | Some vs -> Verdicts vs
   | None ->
-    let vs = probe_uncached t live ~from u msg in
+    let vs = probe_uncached t live view ~from u msg in
     Dice_exec.Vcache.store t.vcache ~version key vs;
     Verdicts vs
 
@@ -189,18 +208,22 @@ let count t outcome =
   | Verdicts _ -> ());
   outcome
 
-let probe t ~from msg =
+(* One probe of a group, against the group's shared view. *)
+let probe_in view t ~from msg =
   match declinable msg with
   | Some reason -> count t (Declined reason)
   | None -> begin
     Atomic.incr t.probes;
     match (t.transport, msg) with
-    | Local live, Msg.Update u -> count t (probe_local t live ~from u msg)
+    | Local live, Msg.Update u -> count t (probe_local t live view ~from u msg)
     | Remote ep, _ -> count t (Probe_rpc.call ep (Probe_wire.canonical_request ~from msg))
     | Local _, (Msg.Open _ | Msg.Notification _ | Msg.Keepalive) ->
       (* unreachable: [declinable] admits only announcements *)
       count t (Declined "not an announcement")
   end
+
+(* a group of one *)
+let probe t ~from msg = probe_in (ref None) t ~from msg
 
 let serve net t =
   match t.transport with
@@ -212,58 +235,60 @@ let serve net t =
         | Declined reason -> Probe_rpc.Refuse reason
         | Timeout -> assert false (* a [Local] probe cannot time out *))
 
-(* [probe_all] shards local probes over the worker pool; remote probes
-   stay on the calling domain and pipeline over each endpoint's
-   in-flight window instead (the simulated network is single-threaded).
-   Results keep request order whatever the schedule. *)
+(* [group key items]: the items that share a key (physically), keys in
+   order of first appearance, items in their order within each group. *)
+let group key items =
+  List.fold_left
+    (fun groups item ->
+      let k = key item in
+      match List.assq_opt k groups with
+      | Some cell ->
+        cell := item :: !cell;
+        groups
+      | None -> (k, ref [ item ]) :: groups)
+    [] items
+  |> List.rev_map (fun (k, cell) -> (k, List.rev !cell))
+
+(* [probe_all] runs local probes on the worker pool, one item per agent:
+   an agent's requests run in order on one worker and share its Loc-RIB
+   view. Remote probes stay on the calling domain and pipeline over each
+   endpoint's in-flight window instead (the simulated network is
+   single-threaded). Results keep request order whatever the schedule. *)
 let probe_all ?(jobs = 1) reqs =
-  let indexed = List.mapi (fun i r -> (i, r)) reqs in
-  let is_remote (_, (a, _, _)) =
-    match a.transport with
-    | Remote _ -> true
-    | Local _ -> false
+  let results = Array.make (List.length reqs) (Declined "") in
+  let remote, local =
+    List.partition_map
+      (fun (i, (a, from, msg)) ->
+        match a.transport with
+        | Remote ep -> Either.Left (i, a, ep, from, msg)
+        | Local _ -> Either.Right (i, a, from, msg))
+      (List.mapi (fun i r -> (i, r)) reqs)
   in
-  let remote, local = List.partition is_remote indexed in
-  let n = List.length reqs in
-  let results = Array.make n (Declined "") in
-  (* remote: short-circuit declines, group wire-bound requests by
-     endpoint, pipeline each group *)
-  let groups : (Probe_rpc.endpoint * (int * agent * bytes) list ref) list ref = ref [] in
-  List.iter
-    (fun (i, (a, from, msg)) ->
-      match declinable msg with
-      | Some reason -> results.(i) <- count a (Declined reason)
-      | None ->
-        Atomic.incr a.probes;
-        let ep =
-          match a.transport with
-          | Remote ep -> ep
-          | Local _ -> assert false
-        in
-        let canonical = Probe_wire.canonical_request ~from msg in
-        let cell =
-          match List.assq_opt ep !groups with
-          | Some cell -> cell
-          | None ->
-            let cell = ref [] in
-            groups := !groups @ [ (ep, cell) ];
-            cell
-        in
-        cell := (i, a, canonical) :: !cell)
-    remote;
-  List.iter
-    (fun ((ep : Probe_rpc.endpoint), cell) ->
-      let items = List.rev !cell in
-      let answers = Probe_rpc.call_batch ep (List.map (fun (_, _, c) -> c) items) in
-      List.iter2 (fun (i, a, _) r -> results.(i) <- count a r) items answers)
-    !groups;
-  (* local: the existing pool fan-out *)
-  let local_answers =
-    Dice_exec.Pool.map ~jobs:(max 1 jobs)
-      (fun (i, (a, from, msg)) -> (i, probe a ~from msg))
-      local
+  (* remote: short-circuit declines, pipeline the wire-bound requests
+     of each endpoint *)
+  let wire =
+    List.filter_map
+      (fun (i, a, ep, from, msg) ->
+        match declinable msg with
+        | Some reason ->
+          results.(i) <- count a (Declined reason);
+          None
+        | None ->
+          Atomic.incr a.probes;
+          Some (i, a, ep, Probe_wire.canonical_request ~from msg))
+      remote
   in
-  List.iter (fun (i, r) -> results.(i) <- r) local_answers;
+  List.iter
+    (fun (ep, items) ->
+      let answers = Probe_rpc.call_batch ep (List.map (fun (_, _, _, c) -> c) items) in
+      List.iter2 (fun (i, a, _, _) r -> results.(i) <- count a r) items answers)
+    (group (fun (_, _, ep, _) -> ep) wire);
+  Dice_exec.Pool.map ~jobs:(max 1 jobs)
+    (fun (a, items) ->
+      let view = ref None in
+      List.map (fun (i, _, from, msg) -> (i, probe_in view a ~from msg)) items)
+    (group (fun (_, a, _, _) -> a) local)
+  |> List.iter (List.iter (fun (i, r) -> results.(i) <- r));
   Array.to_list results
 
 type stats = {

@@ -131,12 +131,17 @@ val probe : agent -> from:Ipv4.t -> Msg.t -> outcome
 
 val probe_all : ?jobs:int -> (agent * Ipv4.t * Msg.t) list -> outcome list
 (** [probe_all ~jobs reqs] answers every [(agent, from, msg)] request,
-    in request order regardless of schedule. [Local] requests shard
-    across [jobs] worker domains ([1], the default, stays on the calling
-    domain); [Remote] requests pipeline over each endpoint's in-flight
-    window on the calling domain — the simulated network is
-    single-threaded, so wire parallelism comes from overlapping
-    requests on the link, not from worker domains. *)
+    in request order regardless of schedule. [Local] requests are
+    grouped by agent, one group per task over [jobs] worker domains
+    ([1], the default, stays on the calling domain); a group's requests
+    run in order and share one Loc-RIB view of the agent's live speaker,
+    taken once per call from the first uncached probe's clone and reused
+    only while that speaker's [updates_processed] is unchanged. Verdicts,
+    caches and counters are those of one {!probe} per request. [Remote]
+    requests pipeline over each endpoint's in-flight window on the
+    calling domain — the simulated network is single-threaded, so wire
+    parallelism comes from overlapping requests on the link, not from
+    worker domains. *)
 
 type stats = {
   probes : int;  (** announcements submitted ({!probe} / {!probe_all}) *)

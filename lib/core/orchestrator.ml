@@ -336,8 +336,8 @@ let pp_report ppf r =
              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) sr.depth_counts));
       Format.fprintf ppf "faults: %d@]@," (List.length sr.faults))
     r.seed_reports;
-  Format.fprintf ppf "@[<v 2>distinct faults (%d):@,%a@]@,"
-    (List.length r.faults)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Checker.pp_fault)
-    r.faults;
+  (* each fault opens its own line, so an empty list prints no break *)
+  Format.fprintf ppf "@[<v 2>distinct faults (%d):" (List.length r.faults);
+  List.iter (Format.fprintf ppf "@,%a" Checker.pp_fault) r.faults;
+  Format.fprintf ppf "@]@,";
   Format.fprintf ppf "wall time: %.2f s@]" r.wall_seconds

@@ -147,8 +147,9 @@ let live_names t =
    whole batch on the worker pool (one worker per member, so a speaker is
    only ever touched by one domain at a time), then the emitted messages
    are routed — in deterministic member order — into the receivers'
-   inboxes for the next wave. BGP's loop detection makes the flood
-   terminate; [max_rounds] bounds it anyway. *)
+   inboxes for the next wave. The wave's probes go out as one
+   [Distributed.probe_all] batch on the pool after routing. BGP's loop
+   detection makes the flood terminate; [max_rounds] bounds it anyway. *)
 let run_waves ?(jobs = 1) ?(max_rounds = 64) ?(probe_every = 0) ?record t =
   let delivered = ref 0 and emitted = ref 0 and to_collector = ref 0 in
   let dropped_down = ref 0 and probes = ref 0 and verdicts = ref 0 in
@@ -186,6 +187,7 @@ let run_waves ?(jobs = 1) ?(max_rounds = 64) ?(probe_every = 0) ?record t =
         work
     in
     let next = Array.make (Array.length t.members) [] in
+    let wave_probes = ref [] in
     List.iter
       (fun (m, n_in, outs) ->
         delivered := !delivered + n_in;
@@ -198,12 +200,8 @@ let run_waves ?(jobs = 1) ?(max_rounds = 64) ?(probe_every = 0) ?record t =
               let target = t.members.(j) in
               if not (Hashtbl.mem live target.domain.name) then incr dropped_down
               else begin
-                if probe_every > 0 && !emitted mod probe_every = 0 then begin
-                  incr probes;
-                  match Distributed.probe target.agent ~from:arrival msg with
-                  | Distributed.Verdicts vs -> verdicts := !verdicts + List.length vs
-                  | Distributed.Declined _ | Distributed.Timeout -> ()
-                end;
+                if probe_every > 0 && !emitted mod probe_every = 0 then
+                  wave_probes := (target.agent, arrival, msg) :: !wave_probes;
                 (match record with
                 | Some log ->
                   List.iter
@@ -217,6 +215,13 @@ let run_waves ?(jobs = 1) ?(max_rounds = 64) ?(probe_every = 0) ?record t =
               end)
           outs)
       outputs;
+    (* no speaker moves until the next wave is fed, so the batch sees each
+       target at the version it had when the message was routed *)
+    let wave_probes = List.rev !wave_probes in
+    probes := !probes + List.length wave_probes;
+    List.iter
+      (fun outcome -> verdicts := !verdicts + List.length (Distributed.verdicts outcome))
+      (Distributed.probe_all ~jobs wave_probes);
     Array.iteri
       (fun j arrivals ->
         if arrivals <> [] then

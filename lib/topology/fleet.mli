@@ -95,9 +95,12 @@ val drive :
     streams differ but the whole run replays from one seed), feed them
     concurrently ([jobs] workers, each speaker owned by one worker per
     wave), and propagate to quiescence (or [max_rounds], default 64).
-    [probe_every = k > 0] first probes every k-th routed message
+    [probe_every = k > 0] also probes every k-th routed message
     against its target agent — DiCE's online test running inside the
-    stream — and counts the verdicts. *)
+    stream — and counts the verdicts. A wave's probes go out as one
+    {!Dice_core.Distributed.probe_all} batch on the [jobs] pool, after
+    routing and before the next wave is fed, so each target answers at
+    the version the message was routed against. *)
 
 val originate :
   ?jobs:int -> ?max_rounds:int -> t -> domain:string -> Prefix.t -> (string * string * Prefix.t) list

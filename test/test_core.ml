@@ -324,6 +324,20 @@ let test_orchestrator_clean_with_correct_filter () =
   in
   Alcotest.(check int) "nothing hijackable" 0 (List.length criticals)
 
+let test_orchestrator_empty_report_text () =
+  let report =
+    { Orchestrator.seed_reports = [];
+      faults = [];
+      checkpoint_pages = 0;
+      live_image_bytes = 0;
+      wall_seconds = 0.0;
+      checkpoint_seconds = 0.0 }
+  in
+  Alcotest.(check string) "no blank line under an empty fault list"
+    "DiCE exploration report\nseeds explored: 0\nlive image: 0 bytes (0 pages)\n\
+     distinct faults (0):\nwall time: 0.00 s"
+    (Format.asprintf "%a" Orchestrator.pp_report report)
+
 let test_orchestrator_live_router_untouched () =
   let topo = testbed Dice_topology.Threerouter.Partially_correct in
   let provider = Dice_topology.Threerouter.provider_router topo in
@@ -477,6 +491,7 @@ let suite =
     ("orchestrator finds hijacks (broken filter)", `Slow,
      test_orchestrator_finds_hijacks_with_broken_filter);
     ("orchestrator clean (correct filter)", `Slow, test_orchestrator_clean_with_correct_filter);
+    ("orchestrator empty report text", `Quick, test_orchestrator_empty_report_text);
     ("live router untouched", `Slow, test_orchestrator_live_router_untouched);
     ("exploration isolated", `Slow, test_orchestrator_isolation);
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);

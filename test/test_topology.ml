@@ -399,6 +399,136 @@ let test_fleet_online_probes () =
   in
   Alcotest.(check bool) "probes cloned, never serialized" true (clones >= st.Fleet.probes)
 
+let test_fleet_probe_stats_jobs_invariant () =
+  let drive ~jobs =
+    Fleet.drive ~jobs ~updates_per_domain:12 ~probe_every:3
+      (small_fleet ~speakers:Speakers.names ~domains:8 ())
+  in
+  let one = drive ~jobs:1 and two = drive ~jobs:2 in
+  Alcotest.(check bool) "probes issued" true (one.Fleet.probes > 0);
+  Alcotest.(check bool) "verdicts returned" true (one.Fleet.verdicts > 0);
+  Alcotest.(check bool) "stats equal at jobs 1 and 2" true (one = two)
+
+(* A batch against the fleet's agents: every arrival session of every
+   domain announces a set of prefixes around two originated blocks,
+   one of them anycast-whitelisted everywhere. *)
+let anycast_block = p "192.88.99.0/24"
+let held_block = p "203.0.113.0/24"
+
+let whitelisting_fleet s =
+  let with_anycast (d : Spec.domain) =
+    let (module D : Dialect.S) = Option.get (Speakers.dialect d.Spec.speaker) in
+    let c = D.parse (D.render (Spec.intent_of s d.Spec.name)) in
+    { d with Spec.config = Some { c with Config_types.anycast = [ anycast_block ] } }
+  in
+  let fl = Fleet.realize { s with Spec.domains = List.map with_anycast s.Spec.domains } in
+  Fleet.establish fl;
+  fl
+
+let batch_requests fl =
+  let s = Fleet.spec fl in
+  let asn name = (List.find (fun (d : Spec.domain) -> d.Spec.name = name) s.Spec.domains).Spec.asn in
+  List.concat_map
+    (fun (d : Spec.domain) ->
+      let agent = Fleet.agent fl d.Spec.name in
+      let sessions =
+        (Spec.feed_addr s d.Spec.name, Spec.feed_as)
+        :: List.map
+             (fun (n : Spec.neighbor) -> (n.Spec.peer_addr, asn n.Spec.peer_name))
+             (Spec.neighbors s d.Spec.name)
+      in
+      let msg ~first_as ~next_hop prefixes =
+        Msg.Update
+          { withdrawn = [];
+            attrs =
+              [ Attr.Origin Attr.Igp;
+                Attr.As_path [ Asn.Path.Seq [ first_as; 64999 ] ];
+                Attr.Next_hop next_hop ];
+            nlri = List.map p prefixes }
+      in
+      List.concat_map
+        (fun (from, first_as) ->
+          let m = msg ~first_as ~next_hop:from in
+          [ (agent, from, m [ "203.0.113.0/24" ]);  (* overrides a foreign origin *)
+            (agent, from, m [ "203.0.113.128/25" ]);  (* covered by one *)
+            (agent, from, m [ "203.0.0.0/16"; "100.64.0.0/16" ]);  (* covers one *)
+            (agent, from, m [ "192.88.99.0/24" ]);  (* whitelisted *)
+            (agent, from, m [ "203.0.113.0/24" ]) (* repeated: a vcache hit *) ])
+        sessions)
+    s.Spec.domains
+
+let render_outcome = function
+  | Distributed.Verdicts vs ->
+    String.concat ";"
+      (List.map (fun (q, v) -> Prefix.to_string q ^ "=" ^ Verdict.to_string v) vs)
+  | Distributed.Declined r -> "declined " ^ r
+  | Distributed.Timeout -> "timeout"
+
+let versions fl =
+  List.map
+    (fun (d : Spec.domain) -> Speaker.updates_processed (Fleet.speaker fl d.Spec.name))
+    (Fleet.spec fl).Spec.domains
+
+let agent_counters fl =
+  List.map
+    (fun a ->
+      let st = Distributed.stats a in
+      Distributed.(st.probes, st.checkpoints, st.clones, st.vcache_hits, st.declines))
+    (Fleet.agents fl)
+
+let test_fleet_batch_matches_single_probes () =
+  let s = Tgen.generate ~speakers:Speakers.names ~seed:11L ~domains:6 () in
+  let batched = whitelisting_fleet s and single = whitelisting_fleet s in
+  let twins = [ batched; single ] in
+  let origin = (List.hd s.Spec.domains).Spec.name in
+  List.iter
+    (fun fl ->
+      ignore (Fleet.drive ~updates_per_domain:16 fl);
+      ignore (Fleet.originate fl ~domain:origin held_block);
+      ignore (Fleet.originate fl ~domain:origin anycast_block))
+    twins;
+  let pass ~jobs =
+    let reqs = batch_requests batched in
+    let before = versions batched in
+    let got = Distributed.probe_all ~jobs reqs in
+    Alcotest.(check (list int))
+      (Printf.sprintf "no live speaker moved (jobs %d)" jobs)
+      before (versions batched);
+    let want =
+      List.map
+        (fun (a, from, msg) ->
+          Distributed.probe (Fleet.agent single (Distributed.agent_name a)) ~from msg)
+        reqs
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "batch verdicts equal single probes (jobs %d)" jobs)
+      (List.map render_outcome want) (List.map render_outcome got);
+    Alcotest.(check bool)
+      (Printf.sprintf "counters equal single probes (jobs %d)" jobs)
+      true
+      (agent_counters batched = agent_counters single);
+    List.concat_map Distributed.verdicts got
+  in
+  let first = pass ~jobs:1 in
+  (* the twins move on together, so the second pass misses every cache *)
+  List.iter (fun fl -> ignore (Fleet.drive ~updates_per_domain:16 ~seed:8L fl)) twins;
+  let second = pass ~jobs:2 in
+  let vs = first @ second in
+  Alcotest.(check bool) "an origin conflict somewhere" true
+    (List.exists (fun (_, v) -> v.Distributed.origin_conflict) vs);
+  Alcotest.(check bool) "a covered foreign route somewhere" true
+    (List.exists (fun (_, v) -> v.Distributed.covers_foreign > 0) vs);
+  Alcotest.(check bool) "the whitelisted prefix accepted somewhere" true
+    (List.exists
+       (fun (q, v) -> Prefix.equal q anycast_block && v.Distributed.accepted)
+       vs);
+  Alcotest.(check bool) "the whitelisted prefix never conflicts" true
+    (List.for_all
+       (fun (q, v) ->
+         (not (Prefix.equal q anycast_block))
+         || ((not v.Distributed.origin_conflict) && v.Distributed.covers_foreign = 0))
+       vs)
+
 let test_fleet_down_member_excluded () =
   let fl = small_fleet ~domains:6 () in
   let victim = "d3" in
@@ -477,6 +607,10 @@ let suite =
     Alcotest.test_case "fork managers share a store" `Quick test_fork_shared_store;
     Alcotest.test_case "fleet drive quiesces" `Quick test_fleet_drive_quiesces;
     Alcotest.test_case "fleet online probes" `Quick test_fleet_online_probes;
+    Alcotest.test_case "fleet probe stats equal at jobs 1 and 2" `Quick
+      test_fleet_probe_stats_jobs_invariant;
+    Alcotest.test_case "fleet probe batch equals single probes" `Quick
+      test_fleet_batch_matches_single_probes;
     Alcotest.test_case "down member excluded from the drive loop" `Quick
       test_fleet_down_member_excluded;
     Alcotest.test_case "fleet rib sharing" `Quick test_fleet_rib_sharing;
