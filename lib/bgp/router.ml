@@ -67,23 +67,9 @@ type t = {
 }
 
 let config t = t.cfg
-let local_as t = t.cfg.Config_types.local_as
-let router_id t = t.cfg.Config_types.router_id
 
 let create cfg =
-  let statics =
-    List.fold_left
-      (fun acc (p, via) ->
-        Prefix_trie.add p
-          {
-            Rib.Loc.route =
-              Route.make ~origin:Attr.Igp ~as_path:Asn.Path.empty ~next_hop:via
-                ~local_pref:(Some 100) ();
-            src = Route.static_src;
-          }
-          acc)
-      Prefix_trie.empty cfg.Config_types.static_routes
-  in
+  let statics = Prefix_trie.of_list (Pipeline.statics cfg) in
   let t =
     {
       cfg;
@@ -123,14 +109,6 @@ let updates_processed t = t.updates
 (* Decision process                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let src_of_peer t p =
-  {
-    Route.peer_addr = p.pcfg.Config_types.neighbor;
-    peer_asn = p.pcfg.Config_types.remote_as;
-    peer_bgp_id = p.pcfg.Config_types.neighbor (* stand-in until OPEN is seen *);
-    ebgp = p.pcfg.Config_types.remote_as <> t.cfg.Config_types.local_as;
-  }
-
 let candidates t prefix =
   let from_static =
     match Prefix_trie.find_opt prefix t.statics with
@@ -140,7 +118,7 @@ let candidates t prefix =
   Hashtbl.fold
     (fun _ p acc ->
       match Rib.Adj.find_opt prefix p.adj_in with
-      | Some r -> (r, src_of_peer t p) :: acc
+      | Some r -> (r, Pipeline.src_of_peer ~local_as:t.cfg.Config_types.local_as p.pcfg) :: acc
       | None -> acc)
     t.peers from_static
 
@@ -153,72 +131,20 @@ let decide t prefix =
 (* Export path                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Transform the best route for advertisement to [dst]: eBGP prepends the
-   local AS, rewrites next-hop to self, and strips LOCAL_PREF and MED;
-   iBGP forwards LOCAL_PREF unchanged. *)
-let export_view t (dst : peer_rt) (route : Route.t) =
-  let ebgp = dst.pcfg.Config_types.remote_as <> t.cfg.Config_types.local_as in
-  if ebgp then
-    {
-      route with
-      Route.as_path = Asn.Path.prepend t.cfg.Config_types.local_as route.Route.as_path;
-      next_hop = t.cfg.Config_types.router_id;
-      local_pref = None;
-      med = None;
-    }
-  else route
-
-(* Would advertising [route] to [dst] loop straight back? *)
-let split_horizon (dst : peer_rt) (src : Route.src) =
-  src.Route.peer_addr = dst.pcfg.Config_types.neighbor
-
-let no_export_blocked (dst : peer_rt) local_as (route : Route.t) =
-  let ebgp = dst.pcfg.Config_types.remote_as <> local_as in
-  (ebgp && Route.has_community route Community.no_export)
-  || Route.has_community route Community.no_advertise
-
 (* Compute the UPDATE (if any) for [prefix]'s new best towards [dst], and
    update the Adj-RIB-Out. *)
 let export_to ?(ctx = Engine.null ()) t (dst : peer_rt) prefix best =
   if dst.fsm <> Fsm.Established then []
   else begin
     let previously = Rib.Adj.find_opt prefix dst.adj_out in
-    let advert =
-      match best with
-      | None -> None
-      | Some { Rib.Loc.route; src } ->
-        if split_horizon dst src then None
-        else if no_export_blocked dst t.cfg.Config_types.local_as route then None
-        else begin
-          let view = export_view t dst route in
-          let croute = Croute.of_route prefix view in
-          match
-            Filter_interp.run_policy ctx
-              ~source_as:src.Route.peer_asn
-              ~local_as:t.cfg.Config_types.local_as
-              dst.pcfg.Config_types.export_policy croute
-          with
-          | Filter_interp.Accepted cr ->
-            let _, r = Croute.to_route cr in
-            Some r
-          | Filter_interp.Rejected -> None
-        end
-    in
-    match (previously, advert) with
-    | None, None -> []
-    | Some old, Some r when Route.equal old r -> []
-    | _, Some r ->
-      dst.adj_out <- Rib.Adj.add prefix r dst.adj_out;
-      [ To_peer
-          ( dst.pcfg.Config_types.neighbor,
-            Msg.Update { withdrawn = []; attrs = Route.to_attrs r; nlri = [ prefix ] } );
-      ]
-    | Some _, None ->
-      dst.adj_out <- Rib.Adj.remove prefix dst.adj_out;
-      [ To_peer
-          ( dst.pcfg.Config_types.neighbor,
-            Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] } );
-      ]
+    match Pipeline.export ~ctx t.cfg dst.pcfg prefix ~previously best with
+    | None -> []
+    | Some (now, msg) ->
+      dst.adj_out <-
+        (match now with
+        | Some r -> Rib.Adj.add prefix r dst.adj_out
+        | None -> Rib.Adj.remove prefix dst.adj_out);
+      [ msg ]
   end
 
 let export_all ?ctx t prefix best =
@@ -228,13 +154,7 @@ let export_all ?ctx t prefix best =
 let reconsider ?ctx t prefix =
   let old_best = Rib.Loc.find_opt prefix t.loc in
   let new_best = decide t prefix in
-  let changed =
-    match (old_best, new_best) with
-    | None, None -> false
-    | Some a, Some b -> not (Route.equal a.Rib.Loc.route b.Rib.Loc.route && a.src = b.src)
-    | None, Some _ | Some _, None -> true
-  in
-  if changed then begin
+  if Pipeline.best_changed old_best new_best then begin
     (match new_best with
     | Some e -> t.loc <- Rib.Loc.set prefix e t.loc
     | None -> t.loc <- Rib.Loc.remove prefix t.loc);
@@ -305,96 +225,31 @@ let rib_walk_probe ctx t (cr : Croute.t) =
       (Rib.Loc.descent concrete_addr t.loc)
   end
 
-let to_peer_msgs outputs =
-  List.filter_map (function To_peer (dst, m) -> Some (dst, m) | _ -> None) outputs
-
 let import_concolic ~ctx t ~peer croute =
   let p = peer_exn t peer in
   t.updates <- t.updates + 1;
-  let rejected why =
-    ignore why;
-    {
-      Import.prefix = Croute.prefix_of croute;
-      accepted = false;
-      installed = false;
-      route = None;
-      previous_best = Rib.Loc.find_opt (Croute.prefix_of croute) t.loc;
-      outputs = [];
-    }
-  in
-  (* AS-loop detection (concrete: the path is not symbolized) *)
-  if Asn.Path.contains croute.Croute.as_path t.cfg.Config_types.local_as then
-    rejected `Loop
-  else begin
-    match
-      Filter_interp.run_policy ctx
-        ~source_as:p.pcfg.Config_types.remote_as
-        ~local_as:t.cfg.Config_types.local_as
-        p.pcfg.Config_types.import_policy croute
-    with
-    | Filter_interp.Rejected -> rejected `Policy
-    | Filter_interp.Accepted cr ->
-      let cr =
-        if cr.Croute.has_local_pref then cr
-        else
-          Croute.with_local_pref cr (Cval.concrete ~width:32 100L)
-      in
-      let prefix, route = Croute.to_route cr in
+  Pipeline.import ~ctx t.cfg p.pcfg croute
+    ~best:(fun prefix -> Rib.Loc.find_opt prefix t.loc)
+    ~probe:(fun cr previous_best ->
       rib_walk_probe ctx t cr;
-      let previous_best = Rib.Loc.find_opt prefix t.loc in
       (* record the concolic would-beat constraints for the explorer *)
-      let _would_beat = concolic_beats ctx cr previous_best in
+      ignore (concolic_beats ctx cr previous_best))
+    ~learn:(fun prefix route ->
       p.adj_in <- Rib.Adj.add prefix route p.adj_in;
-      let outputs = to_peer_msgs (reconsider ~ctx t prefix) in
-      let installed =
-        match Rib.Loc.find_opt prefix t.loc with
-        | Some e -> e.Rib.Loc.src.Route.peer_addr = peer && Route.equal e.Rib.Loc.route route
-        | None -> false
-      in
-      { Import.prefix; accepted = true; installed; route = Some route; previous_best; outputs }
-  end
+      reconsider ~ctx t prefix)
 
 (* Normal-path UPDATE processing. *)
-let process_update ?(ctx = Engine.null ()) t ~peer (u : Msg.update) =
+let process_update ?(ctx = Engine.null ()) t ~peer u =
   let p = peer_exn t peer in
-  let outs = ref [] in
-  (* withdrawals *)
-  List.iter
-    (fun prefix ->
-      if Rib.Adj.find_opt prefix p.adj_in <> None then begin
+  Pipeline.process_update u
+    ~import:(import_concolic ~ctx t ~peer)
+    ~withdraw:(fun prefix ->
+      if Rib.Adj.find_opt prefix p.adj_in = None then []
+      else begin
         p.adj_in <- Rib.Adj.remove prefix p.adj_in;
-        outs := !outs @ reconsider ~ctx t prefix
+        reconsider ~ctx t prefix
       end)
-    u.Msg.withdrawn;
-  (* announcements *)
-  if u.Msg.nlri <> [] then begin
-    match Route.of_attrs u.Msg.attrs with
-    | Error _ ->
-      (* treat-as-withdraw (RFC 7606 spirit) for the announced prefixes *)
-      List.iter
-        (fun prefix ->
-          if Rib.Adj.find_opt prefix p.adj_in <> None then begin
-            p.adj_in <- Rib.Adj.remove prefix p.adj_in;
-            outs := !outs @ reconsider ~ctx t prefix
-          end)
-        u.Msg.nlri
-    | Ok route ->
-      List.iter
-        (fun prefix ->
-          let croute = Croute.of_route prefix route in
-          let outcome = import_concolic ~ctx t ~peer croute in
-          outs := !outs @ List.map (fun (dst, m) -> To_peer (dst, m)) outcome.Import.outputs;
-          if not outcome.accepted then begin
-            (* policy-rejected: ensure any previous version is gone *)
-            if Rib.Adj.find_opt prefix p.adj_in <> None then begin
-              p.adj_in <- Rib.Adj.remove prefix p.adj_in;
-              outs := !outs @ reconsider ~ctx t prefix
-            end
-          end)
-        u.Msg.nlri
-  end
-  else t.updates <- t.updates + if u.Msg.withdrawn <> [] then 1 else 0;
-  !outs
+    ~tick:(fun () -> t.updates <- t.updates + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Session management                                                  *)
@@ -427,6 +282,8 @@ let flush_peer ?ctx t (p : peer_rt) =
   p.adj_out <- Rib.Adj.empty;
   List.concat_map (fun prefix -> reconsider ?ctx t prefix) prefixes
 
+let to_peer = List.map (fun (dst, m) -> To_peer (dst, m))
+
 let rec apply_actions ?ctx t (p : peer_rt) actions =
   List.concat_map
     (fun action ->
@@ -439,9 +296,9 @@ let rec apply_actions ?ctx t (p : peer_rt) actions =
       | Fsm.Stop_timer tm -> [ Clear_timer (addr, tm) ]
       | Fsm.Initiate_connect -> [ Connect_request addr ]
       | Fsm.Drop_connection -> [ Close_connection addr ]
-      | Fsm.Session_established -> Session_up addr :: initial_advertisement ?ctx t p
-      | Fsm.Session_down reason -> Session_down (addr, reason) :: flush_peer ?ctx t p
-      | Fsm.Deliver_update u -> process_update ?ctx t ~peer:addr u)
+      | Fsm.Session_established -> Session_up addr :: to_peer (initial_advertisement ?ctx t p)
+      | Fsm.Session_down reason -> Session_down (addr, reason) :: to_peer (flush_peer ?ctx t p)
+      | Fsm.Deliver_update u -> to_peer (process_update ?ctx t ~peer:addr u))
     actions
 
 and feed_event ?ctx t (p : peer_rt) ev =
@@ -511,33 +368,6 @@ let handle_bytes ?ctx t ~peer bytes =
 let magic = "DICERTR2"
 let slot_size = 256
 
-let encode_prefix w p =
-  Wbuf.u8 w (Prefix.len p);
-  Wbuf.u32 w (Prefix.network p)
-
-let decode_prefix r =
-  let len = Rbuf.u8 ~what:"snapshot prefix len" r in
-  let addr = Rbuf.u32 ~what:"snapshot prefix addr" r in
-  Prefix.make addr len
-
-let encode_route w route =
-  let attrs = Wbuf.create () in
-  Attr.encode_list ~as4:true attrs (Route.to_attrs route);
-  let b = Wbuf.contents attrs in
-  Wbuf.u16 w (Bytes.length b);
-  Wbuf.bytes w b
-
-let decode_route r =
-  let len = Rbuf.u16 ~what:"snapshot route len" r in
-  let body = Rbuf.sub r len in
-  match Attr.decode_list ~as4:true body with
-  | Error e -> invalid_arg ("Router.restore: bad route: " ^ Attr.error_to_string e)
-  | Ok attrs -> begin
-    match Route.of_attrs attrs with
-    | Error e -> invalid_arg ("Router.restore: bad route: " ^ Attr.error_to_string e)
-    | Ok route -> route
-  end
-
 let fsm_code = function
   | Fsm.Idle -> 0
   | Fsm.Connect -> 1
@@ -562,23 +392,17 @@ let encode_slot_payload w key payload_route src_opt =
   | Slot_loc prefix ->
     Wbuf.u8 w 1;
     Wbuf.u32 w 0;
-    encode_prefix w prefix
+    Pipeline.put_prefix w prefix
   | Slot_adj_in (peer, prefix) ->
     Wbuf.u8 w 2;
     Wbuf.u32 w peer;
-    encode_prefix w prefix
+    Pipeline.put_prefix w prefix
   | Slot_adj_out (peer, prefix) ->
     Wbuf.u8 w 3;
     Wbuf.u32 w peer;
-    encode_prefix w prefix);
-  (match src_opt with
-  | Some (src : Route.src) ->
-    Wbuf.u32 w src.Route.peer_addr;
-    Wbuf.u32 w src.Route.peer_asn;
-    Wbuf.u32 w src.Route.peer_bgp_id;
-    Wbuf.u8 w (if src.Route.ebgp then 1 else 0)
-  | None -> ());
-  encode_route w payload_route
+    Pipeline.put_prefix w prefix);
+  Option.iter (Pipeline.put_src w) src_opt;
+  Pipeline.put_route w payload_route
 
 let payload key route src_opt =
   let w = Wbuf.create () in
@@ -759,22 +583,15 @@ let snapshot_patch ~base t =
 let decode_slot_payload t r =
   let kind = Rbuf.u8 ~what:"slot kind" r in
   let peer_addr = Rbuf.u32 ~what:"slot peer" r in
-  let prefix = decode_prefix r in
+  let prefix = Pipeline.get_prefix r in
   match kind with
   | 1 ->
-    let sa = Rbuf.u32 ~what:"src addr" r in
-    let sasn = Rbuf.u32 ~what:"src asn" r in
-    let sid = Rbuf.u32 ~what:"src id" r in
-    let ebgp = Rbuf.u8 ~what:"src ebgp" r = 1 in
-    let route = decode_route r in
-    t.loc <-
-      Rib.Loc.set prefix
-        { Rib.Loc.route;
-          src = { Route.peer_addr = sa; peer_asn = sasn; peer_bgp_id = sid; ebgp } }
-        t.loc;
+    let src = Pipeline.get_src r in
+    let route = Pipeline.get_route r in
+    t.loc <- Rib.Loc.set prefix { Rib.Loc.route; src } t.loc;
     Slot_loc prefix
   | 2 | 3 -> begin
-    let route = decode_route r in
+    let route = Pipeline.get_route r in
     match Hashtbl.find_opt t.peers peer_addr with
     | Some p ->
       if kind = 2 then p.adj_in <- Rib.Adj.add prefix route p.adj_in

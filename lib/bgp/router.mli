@@ -33,8 +33,6 @@ val create : Config_types.t -> t
     start in Idle. *)
 
 val config : t -> Config_types.t
-val local_as : t -> int
-val router_id : t -> Ipv4.t
 
 (** {1 Session driving} *)
 

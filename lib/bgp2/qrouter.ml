@@ -23,22 +23,10 @@ type t = {
 }
 
 let config t = t.cfg
-let local_as t = t.cfg.Config_types.local_as
 let updates_processed t = t.updates
 
 let create cfg =
-  let statics =
-    List.map
-      (fun (p, via) ->
-        ( p,
-          {
-            Rib.Loc.route =
-              Route.make ~origin:Attr.Igp ~as_path:Asn.Path.empty ~next_hop:via
-                ~local_pref:(Some 100) ();
-            src = Route.static_src;
-          } ))
-      cfg.Config_types.static_routes
-  in
+  let statics = Pipeline.statics cfg in
   let t =
     { cfg; peers = Hashtbl.create 8; main = Hashtbl.create 64; statics; updates = 0 }
   in
@@ -54,9 +42,6 @@ let peer_exn t addr =
   match Hashtbl.find_opt t.peers addr with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Qrouter: unknown peer %s" (Ipv4.to_string addr))
-
-let session_up t ~peer =
-  match Hashtbl.find_opt t.peers peer with Some p -> p.up | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Decision process — the heterogeneity lives here.                    *)
@@ -103,14 +88,6 @@ let qcompare ((ra, sa) : Route.t * Route.src) ((rb, sb) : Route.t * Route.src) =
     end
   end
 
-let src_of_peer t (p : peer_st) =
-  {
-    Route.peer_addr = p.pcfg.Config_types.neighbor;
-    peer_asn = p.pcfg.Config_types.remote_as;
-    peer_bgp_id = p.pcfg.Config_types.neighbor;
-    ebgp = p.pcfg.Config_types.remote_as <> t.cfg.Config_types.local_as;
-  }
-
 let candidates t prefix =
   let from_static =
     match List.assoc_opt prefix t.statics with
@@ -120,7 +97,7 @@ let candidates t prefix =
   Hashtbl.fold
     (fun _ p acc ->
       match Hashtbl.find_opt p.rin prefix with
-      | Some r -> (r, src_of_peer t p) :: acc
+      | Some r -> (r, Pipeline.src_of_peer ~local_as:t.cfg.Config_types.local_as p.pcfg) :: acc
       | None -> acc)
     t.peers from_static
 
@@ -130,85 +107,33 @@ let decide t prefix =
   | [] -> None
 
 (* ------------------------------------------------------------------ *)
-(* Export path — same BGP semantics as any conformant speaker: split   *)
-(* horizon, NO_EXPORT/NO_ADVERTISE, eBGP prepend + next-hop-self +     *)
-(* attribute strip, dedup against the Adj-RIB-Out.                     *)
+(* Export path: the shared BGP semantics over the hash-table RibOut.   *)
 (* ------------------------------------------------------------------ *)
 
-let export_view t (dst : peer_st) (route : Route.t) =
-  let ebgp = dst.pcfg.Config_types.remote_as <> t.cfg.Config_types.local_as in
-  if ebgp then
-    {
-      route with
-      Route.as_path = Asn.Path.prepend t.cfg.Config_types.local_as route.Route.as_path;
-      next_hop = t.cfg.Config_types.router_id;
-      local_pref = None;
-      med = None;
-    }
-  else route
-
-let export_blocked (dst : peer_st) local_as (route : Route.t) (src : Route.src) =
-  let ebgp = dst.pcfg.Config_types.remote_as <> local_as in
-  src.Route.peer_addr = dst.pcfg.Config_types.neighbor (* split horizon *)
-  || (ebgp && Route.has_community route Community.no_export)
-  || Route.has_community route Community.no_advertise
-
-let export_to ?(ctx = Engine.null ()) t (dst : peer_st) prefix best =
+let export_to ~ctx t (dst : peer_st) prefix best =
   if not dst.up then []
   else begin
     let previously = Hashtbl.find_opt dst.rout prefix in
-    let advert =
-      match best with
-      | None -> None
-      | Some { Rib.Loc.route; src } ->
-        if export_blocked dst t.cfg.Config_types.local_as route src then None
-        else begin
-          let view = export_view t dst route in
-          let croute = Croute.of_route prefix view in
-          match
-            Filter_interp.run_policy ctx
-              ~source_as:src.Route.peer_asn
-              ~local_as:t.cfg.Config_types.local_as
-              dst.pcfg.Config_types.export_policy croute
-          with
-          | Filter_interp.Accepted cr ->
-            let _, r = Croute.to_route cr in
-            Some r
-          | Filter_interp.Rejected -> None
-        end
-    in
-    match (previously, advert) with
-    | None, None -> []
-    | Some old, Some r when Route.equal old r -> []
-    | _, Some r ->
-      Hashtbl.replace dst.rout prefix r;
-      [ ( dst.pcfg.Config_types.neighbor,
-          Msg.Update { withdrawn = []; attrs = Route.to_attrs r; nlri = [ prefix ] } );
-      ]
-    | Some _, None ->
-      Hashtbl.remove dst.rout prefix;
-      [ ( dst.pcfg.Config_types.neighbor,
-          Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] } );
-      ]
+    match Pipeline.export ~ctx t.cfg dst.pcfg prefix ~previously best with
+    | None -> []
+    | Some (now, msg) ->
+      (match now with
+      | Some r -> Hashtbl.replace dst.rout prefix r
+      | None -> Hashtbl.remove dst.rout prefix);
+      [ msg ]
   end
 
-let export_all ?ctx t prefix best =
-  Hashtbl.fold (fun _ dst acc -> acc @ export_to ?ctx t dst prefix best) t.peers []
+let export_all ~ctx t prefix best =
+  Hashtbl.fold (fun _ dst acc -> acc @ export_to ~ctx t dst prefix best) t.peers []
 
-let reconsider ?ctx t prefix =
+let reconsider ~ctx t prefix =
   let old_best = Hashtbl.find_opt t.main prefix in
   let new_best = decide t prefix in
-  let changed =
-    match (old_best, new_best) with
-    | None, None -> false
-    | Some a, Some b -> not (Route.equal a.Rib.Loc.route b.Rib.Loc.route && a.src = b.src)
-    | None, Some _ | Some _, None -> true
-  in
-  if changed then begin
+  if Pipeline.best_changed old_best new_best then begin
     (match new_best with
     | Some e -> Hashtbl.replace t.main prefix e
     | None -> Hashtbl.remove t.main prefix);
-    export_all ?ctx t prefix new_best
+    export_all ~ctx t prefix new_best
   end
   else []
 
@@ -223,15 +148,16 @@ let establish t ~peer =
     (* Prime the Adj-RIB-Out as an initial exchange would; the messages
        themselves are the session-establishment traffic the core never
        forwards, so they are not returned. *)
-    Hashtbl.iter (fun prefix entry -> ignore (export_to t p prefix (Some entry))) t.main
+    let ctx = Engine.null () in
+    Hashtbl.iter (fun prefix entry -> ignore (export_to ~ctx t p prefix (Some entry))) t.main
   end
 
-let session_clear ?ctx t (p : peer_st) =
+let session_clear ~ctx t (p : peer_st) =
   let prefixes = Hashtbl.fold (fun prefix _ acc -> prefix :: acc) p.rin [] in
   p.up <- false;
   Hashtbl.reset p.rin;
   Hashtbl.reset p.rout;
-  List.concat_map (fun prefix -> reconsider ?ctx t prefix) prefixes
+  List.concat_map (fun prefix -> reconsider ~ctx t prefix) prefixes
 
 (* ------------------------------------------------------------------ *)
 (* Import path                                                         *)
@@ -240,68 +166,26 @@ let session_clear ?ctx t (p : peer_st) =
 let import_concolic ~ctx t ~peer croute =
   let p = peer_exn t peer in
   t.updates <- t.updates + 1;
-  let rejected () =
-    {
-      Import.prefix = Croute.prefix_of croute;
-      accepted = false;
-      installed = false;
-      route = None;
-      previous_best = Hashtbl.find_opt t.main (Croute.prefix_of croute);
-      outputs = [];
-    }
-  in
-  if Asn.Path.contains croute.Croute.as_path t.cfg.Config_types.local_as then rejected ()
-  else begin
-    match
-      Filter_interp.run_policy ctx
-        ~source_as:p.pcfg.Config_types.remote_as
-        ~local_as:t.cfg.Config_types.local_as
-        p.pcfg.Config_types.import_policy croute
-    with
-    | Filter_interp.Rejected -> rejected ()
-    | Filter_interp.Accepted cr ->
-      let cr =
-        if cr.Croute.has_local_pref then cr
-        else Croute.with_local_pref cr (Cval.concrete ~width:32 100L)
-      in
-      let prefix, route = Croute.to_route cr in
-      (* No concolic pre-decision here: past the shared policy
-         interpreter the pipeline runs concretely, as in a federated
-         peer DiCE cannot instrument. *)
-      let previous_best = Hashtbl.find_opt t.main prefix in
+  (* No concolic pre-decision here: past the shared policy interpreter
+     the pipeline runs concretely, as in a federated peer DiCE cannot
+     instrument. *)
+  Pipeline.import ~ctx t.cfg p.pcfg croute ~best:(Hashtbl.find_opt t.main)
+    ~probe:(fun _ _ -> ())
+    ~learn:(fun prefix route ->
       Hashtbl.replace p.rin prefix route;
-      let outputs = reconsider ~ctx t prefix in
-      let installed =
-        match Hashtbl.find_opt t.main prefix with
-        | Some e -> e.Rib.Loc.src.Route.peer_addr = peer && Route.equal e.Rib.Loc.route route
-        | None -> false
-      in
-      { Import.prefix; accepted = true; installed; route = Some route; previous_best; outputs }
-  end
+      reconsider ~ctx t prefix)
 
-let process_update ~ctx t ~peer (u : Msg.update) =
+let process_update ~ctx t ~peer u =
   let p = peer_exn t peer in
-  let outs = ref [] in
-  let withdraw prefix =
-    if Hashtbl.mem p.rin prefix then begin
-      Hashtbl.remove p.rin prefix;
-      outs := !outs @ reconsider ~ctx t prefix
-    end
-  in
-  List.iter withdraw u.Msg.withdrawn;
-  if u.Msg.nlri <> [] then begin
-    match Route.of_attrs u.Msg.attrs with
-    | Error _ -> List.iter withdraw u.Msg.nlri (* treat-as-withdraw *)
-    | Ok route ->
-      List.iter
-        (fun prefix ->
-          let outcome = import_concolic ~ctx t ~peer (Croute.of_route prefix route) in
-          outs := !outs @ outcome.Import.outputs;
-          if not outcome.accepted then withdraw prefix)
-        u.Msg.nlri
-  end
-  else t.updates <- t.updates + if u.Msg.withdrawn <> [] then 1 else 0;
-  !outs
+  Pipeline.process_update u
+    ~import:(import_concolic ~ctx t ~peer)
+    ~withdraw:(fun prefix ->
+      if not (Hashtbl.mem p.rin prefix) then []
+      else begin
+        Hashtbl.remove p.rin prefix;
+        reconsider ~ctx t prefix
+      end)
+    ~tick:(fun () -> t.updates <- t.updates + 1)
 
 let feed ?(ctx = Engine.null ()) t ~peer msg =
   let p = peer_exn t peer in
@@ -337,32 +221,6 @@ let learned_from t ~peer prefix =
 
 let magic = "QRTRSNP2"
 
-let put_prefix b prefix =
-  Wbuf.u8 b (Prefix.len prefix);
-  Wbuf.u32 b (Prefix.network prefix)
-
-let get_prefix r =
-  let len = Rbuf.u8 ~what:"prefix length" r in
-  let network = Rbuf.u32 ~what:"prefix network" r in
-  Prefix.make network len
-
-let put_route b (route : Route.t) =
-  let len_at = Wbuf.mark b in
-  Wbuf.u16 b 0;
-  Attr.encode_list ~as4:true b (Route.to_attrs route);
-  Wbuf.patch_u16 b len_at (Wbuf.length b - len_at - 2)
-
-let get_route r =
-  let len = Rbuf.u16 ~what:"attr region length" r in
-  let region = Rbuf.sub r len in
-  match Attr.decode_list ~as4:true region with
-  | Error e -> invalid_arg ("Qrouter.restore: bad attributes: " ^ Attr.error_to_string e)
-  | Ok attrs -> begin
-    match Route.of_attrs attrs with
-    | Error e -> invalid_arg ("Qrouter.restore: bad route: " ^ Attr.error_to_string e)
-    | Ok route -> route
-  end
-
 let sorted_entries tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -382,8 +240,8 @@ let snapshot t =
         Wbuf.u32 b (List.length entries);
         List.iter
           (fun (prefix, route) ->
-            put_prefix b prefix;
-            put_route b route)
+            Pipeline.put_prefix b prefix;
+            Pipeline.put_route b route)
           entries
       in
       put_adj p.rin;
@@ -393,12 +251,9 @@ let snapshot t =
   Wbuf.u32 b (List.length entries);
   List.iter
     (fun (prefix, (e : Rib.Loc.entry)) ->
-      put_prefix b prefix;
-      put_route b e.Rib.Loc.route;
-      Wbuf.u32 b e.Rib.Loc.src.Route.peer_addr;
-      Wbuf.u32 b e.Rib.Loc.src.Route.peer_asn;
-      Wbuf.u32 b e.Rib.Loc.src.Route.peer_bgp_id;
-      Wbuf.u8 b (if e.Rib.Loc.src.Route.ebgp then 1 else 0))
+      Pipeline.put_prefix b prefix;
+      Pipeline.put_route b e.Rib.Loc.route;
+      Pipeline.put_src b e.Rib.Loc.src)
     entries;
   Wbuf.contents b
 
@@ -425,8 +280,8 @@ let restore cfg image =
       let get_adj tbl =
         let n = Rbuf.u32 ~what:"adj entry count" r in
         for _ = 1 to n do
-          let prefix = get_prefix r in
-          Hashtbl.replace tbl prefix (get_route r)
+          let prefix = Pipeline.get_prefix r in
+          Hashtbl.replace tbl prefix (Pipeline.get_route r)
         done
       in
       get_adj p.rin;
@@ -434,14 +289,9 @@ let restore cfg image =
     done;
     let n_main = Rbuf.u32 ~what:"table entry count" r in
     for _ = 1 to n_main do
-      let prefix = get_prefix r in
-      let route = get_route r in
-      let peer_addr = Rbuf.u32 ~what:"src address" r in
-      let peer_asn = Rbuf.u32 ~what:"src asn" r in
-      let peer_bgp_id = Rbuf.u32 ~what:"src router id" r in
-      let ebgp = Rbuf.u8 ~what:"src ebgp flag" r = 1 in
-      Hashtbl.replace t.main prefix
-        { Rib.Loc.route; src = { Route.peer_addr; peer_asn; peer_bgp_id; ebgp } }
+      let prefix = Pipeline.get_prefix r in
+      let route = Pipeline.get_route r in
+      Hashtbl.replace t.main prefix { Rib.Loc.route; src = Pipeline.get_src r }
     done;
     t
   with Rbuf.Truncated what -> invalid_arg ("Qrouter.restore: truncated image: " ^ what)

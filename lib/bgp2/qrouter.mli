@@ -5,13 +5,14 @@
     peers; DiCE never instruments those, it only probes them through the
     narrow interface. [Qrouter] plays that role in this reproduction. It
     shares the wire vocabulary with [Dice_bgp] ([Msg], [Route], the
-    policy interpreter) — as real implementations share the BGP RFCs —
-    but is a different program:
+    policy interpreter) and the standard import and export rules
+    ({!Dice_bgp.Pipeline}) — as real implementations share the BGP RFCs
+    — but is a different program:
 
     {b Different RIB layout.} Hash tables keyed by prefix for the
     per-peer RIBs and one flat hash table for the main table, in the
     Zebra tradition of per-prefix [bgp_node] buckets — not the
-    persistent maps and stable-slot tries of [Dice_bgp.Router]. The
+    persistent tries of [Dice_bgp.Router] and the XORP flavor. The
     [loc_rib] view required by SPEAKER is materialized on demand, O(n).
 
     {b Different decision tie-breaking order.} After local preference
@@ -43,7 +44,6 @@ val create : Config_types.t -> t
     originated (they win every tie-break against learned routes). *)
 
 val config : t -> Config_types.t
-val local_as : t -> int
 
 (* ------------------------------------------------------------------ *)
 (* Sessions *)
@@ -54,8 +54,6 @@ val establish : t -> peer:Ipv4.t -> unit
     itself is not returned — the session is assumed synchronized, as
     after a real initial exchange). Idempotent.
     @raise Invalid_argument if [peer] is not configured. *)
-
-val session_up : t -> peer:Ipv4.t -> bool
 
 val feed : ?ctx:Engine.ctx -> t -> peer:Ipv4.t -> Msg.t -> (Ipv4.t * Msg.t) list
 (** Process one received message; returns the UPDATEs Qrouter would send

@@ -181,7 +181,8 @@ let community_of ln s =
   | Some i ->
     let a = int_of ln (String.sub s 0 i) "community AS part" in
     let v = int_of ln (String.sub s (i + 1) (String.length s - i - 1)) "community value" in
-    if a > 0xFFFF || v > 0xFFFF then fail ln "community parts must be <= 65535";
+    if a < 0 || a > 0xFFFF || v < 0 || v > 0xFFFF then
+      fail ln "community parts must be in 0..65535";
     Community.make a v
   | None -> fail ln (Printf.sprintf "expected a:b community, got %S" s)
 

@@ -167,8 +167,10 @@ let parse_then st =
   | Some v -> List.rev !stmts @ [ v ]
   | None -> T.fail st "term has no accept/reject"
 
-let parse_policy_statement st ~net_lists =
+let parse_policy_statement st ~net_lists ~taken =
   let pname = T.ident st "policy-statement name" in
+  if List.exists (fun (f : Filter.t) -> f.Filter.name = pname) taken then
+    T.fail st (Printf.sprintf "duplicate policy_statement %S" pname);
   T.expect st L.LBRACE "'{'";
   let terms = ref [] in
   let rec go () =
@@ -219,7 +221,7 @@ let parse_policy_statement st ~net_lists =
   in
   { Filter.name = pname; body = body terms }
 
-let parse_policy_block st =
+let parse_policy_block st ~taken =
   T.expect st L.LBRACE "'{'";
   let net_lists = ref [] in
   let statements = ref [] in
@@ -243,7 +245,9 @@ let parse_policy_block st =
         nets ();
         net_lists := (lname, List.rev !pats) :: !net_lists
       | L.IDENT "policy_statement" ->
-        statements := parse_policy_statement st ~net_lists:!net_lists :: !statements
+        statements :=
+          parse_policy_statement st ~net_lists:!net_lists ~taken:(taken @ !statements)
+          :: !statements
       | tk -> T.fail st (Printf.sprintf "unexpected %s in policy block" (L.token_to_string tk)));
       go ()
     end
@@ -251,8 +255,13 @@ let parse_policy_block st =
   go ();
   List.rev !statements
 
-let parse_peer st ~filters =
+(* Config_types.make refuses a second peer with a taken name or
+   neighbor, as it refuses a taken policy name; refuse them here, at the
+   second declaration, so [parse] keeps its Parse_error contract *)
+let parse_peer st ~filters ~(taken : Config_types.peer_cfg list) =
   let pname = T.ident st "peer name" in
+  if List.exists (fun p -> p.Config_types.name = pname) taken then
+    T.fail st (Printf.sprintf "duplicate peer %S" pname);
   T.expect st L.LBRACE "'{'";
   let neighbor = ref None in
   let remote_as = ref None in
@@ -274,7 +283,11 @@ let parse_peer st ~filters =
     if T.peek st = L.RBRACE then T.advance st
     else begin
       (match T.next st with
-      | L.IDENT "neighbor" -> neighbor := Some (T.ip st "neighbor address")
+      | L.IDENT "neighbor" ->
+        let addr = T.ip st "neighbor address" in
+        if List.exists (fun p -> p.Config_types.neighbor = addr) taken then
+          T.fail st (Printf.sprintf "duplicate neighbor %s" (Ipv4.to_string addr));
+        neighbor := Some addr
       | L.IDENT "as" -> remote_as := Some (T.int_ st "AS number")
       | L.IDENT "import" -> import := policy_of ()
       | L.IDENT "export" -> export := policy_of ()
@@ -311,7 +324,7 @@ let parse src =
       | L.IDENT "local_as" ->
         local_as := Some (T.int_ st "AS number");
         T.expect st L.SEMI "';'"
-      | L.IDENT "peer" -> peers := parse_peer st ~filters:!filters :: !peers
+      | L.IDENT "peer" -> peers := parse_peer st ~filters:!filters ~taken:!peers :: !peers
       | tk -> T.fail st (Printf.sprintf "unexpected %s in bgp block" (L.token_to_string tk)));
       bgp_items ()
     end
@@ -346,7 +359,7 @@ let parse src =
     if T.at_eof st then ()
     else begin
       (match T.next st with
-      | L.IDENT "policy" -> filters := !filters @ parse_policy_block st
+      | L.IDENT "policy" -> filters := !filters @ parse_policy_block st ~taken:!filters
       | L.IDENT "protocols" ->
         T.expect st L.LBRACE "'{'";
         protocols ()

@@ -2,14 +2,17 @@
     heterogeneous triple (Cisco/XORP/BIRD behind one narrow interface).
 
     Like {!Dice_bgp2.Qrouter} it implements only what the SPEAKER
-    interface requires, with its own internals everywhere the interface
-    leaves room:
+    interface requires, on the standard import and export rules all
+    three speakers share ({!Dice_bgp.Pipeline}), with its own internals
+    everywhere the interface leaves room:
 
-    - {b RIB layout}: balanced maps keyed by prefix (one RibIn/RibOut
-      per peer plus the main table), in the spirit of XORP's
-      plumbing-of-tables — not BIRD's shared prefix tries, not Zebra's
-      hash buckets. Iteration is sorted, so snapshots are canonical by
-      construction;
+    - {b RIB layout}: one table per pipeline stage (a RibIn and a
+      lazily built RibOut per peer, plus the main table), in the spirit
+      of XORP's plumbing-of-tables, each stored in the shared persistent
+      tries ({!Dice_bgp.Rib.Adj}, {!Dice_bgp.Rib.Loc}) — not Zebra's
+      hash buckets. So {!table} is the stored main table, with no
+      copy, and iteration is in prefix order, which keeps snapshots
+      canonical by construction;
     - {b decision quirks}: {e deterministic-MED grouping} — candidates
       are grouped by neighboring AS, the best-MED candidate survives
       per group (missing MED = 0, the {e best}, the opposite default of
@@ -41,15 +44,12 @@ type t
 
 val create : Config_types.t -> t
 val config : t -> Config_types.t
-val local_as : t -> int
 
 val establish : t -> peer:Ipv4.t -> unit
 (** Mark the session up. No initial-advertisement traffic is returned
     (session establishment is not exploration traffic), and — the lazy
     quirk — no Adj-RIB-Out is built yet.
     @raise Invalid_argument on an unconfigured peer. *)
-
-val session_up : t -> peer:Ipv4.t -> bool
 
 val import_concolic : ctx:Engine.ctx -> t -> peer:Ipv4.t -> Croute.t -> Import.outcome
 (** One announcement through loop check, the shared (recording) policy
@@ -62,7 +62,7 @@ val feed : ?ctx:Engine.ctx -> t -> peer:Ipv4.t -> Msg.t -> (Ipv4.t * Msg.t) list
     KEEPALIVE are ignored. *)
 
 val table : t -> Rib.Loc.t
-(** The main table materialized as the shared Loc-RIB view. *)
+(** The main table itself: O(1). *)
 
 val best_route : t -> Prefix.t -> Rib.Loc.entry option
 val learned_from : t -> peer:Ipv4.t -> Prefix.t -> bool
@@ -77,6 +77,6 @@ val restore : Config_types.t -> bytes -> t
 
 val clone : t -> t
 (** An independent in-process copy sharing all route storage with the
-    live router: the per-table maps are persistent, so the clone holds
+    live router: the tables are persistent tries, so the clone holds
     references and copies only the mutable per-peer cells —
     O(#peers). *)

@@ -103,13 +103,14 @@ let take_clone t live =
       (version, Speaker.clone live))
 
 (* The pre-probe Loc-RIB, shared by the probes of one group (one agent
-   within one [probe_all] call). Materializing it folds the whole table
-   on implementations whose Loc-RIB is a view, so a group takes it once,
-   from the first uncached probe's clone before that clone is fed, and
-   reuses it while later clones are taken of the same live speaker at
-   the same version (a crash restart swaps the speaker). It is never
-   taken from the live speaker: folding a mutable table flips its
-   traversal state while other workers may be cloning it. *)
+   within one [probe_all] call). BIRD and XORP hand over their stored
+   trie, but Quagga folds its whole hash table into one, so a group
+   takes it once, from the first uncached probe's clone before that
+   clone is fed, and reuses it while later clones are taken of the same
+   live speaker at the same version (a crash restart swaps the
+   speaker). It is never taken from the live speaker: folding a mutable
+   table flips its traversal state while other workers may be cloning
+   it. *)
 type view = (Speaker.instance * int * Rib.Loc.t) option ref
 
 let pre_loc_rib (view : view) live version clone =

@@ -133,9 +133,10 @@ module type S = sig
       [peer] is not configured. *)
 
   val loc_rib : t -> Rib.Loc.t
-  (** The selected best routes, as the shared view type — a {e view}:
-      implementations with other internal layouts materialize it on
-      demand. *)
+  (** The selected best routes, as the shared trie. Implementations
+      that keep their Loc-RIB in it (BIRD, XORP) return the stored
+      table, O(1); one with another layout (Quagga's hash table)
+      materializes it on demand, O(n). *)
 
   val best_route : t -> Prefix.t -> Rib.Loc.entry option
 
@@ -181,9 +182,9 @@ module type S = sig
   val clone : t -> t
   (** An independent in-process copy of the live speaker, sharing as
       much storage as the implementation's data structures allow —
-      implementations backed by persistent structures (tries, balanced
-      maps) share all route storage and copy only mutable cells
-      (O(#peers)); mutable-table implementations copy buckets eagerly.
+      implementations backed by the persistent tries (BIRD, XORP) share
+      all route storage and copy only mutable cells (O(#peers));
+      mutable-table implementations (Quagga) copy buckets eagerly.
       Either way there is no serialization: this is the checkpoint and
       explorer-clone path, where per-clone memory should be the write
       set, not the table. Feeding the clone, or running

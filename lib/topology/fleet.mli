@@ -118,9 +118,9 @@ val rib_sharing : t -> domain:string -> int * int
     speaker, let it import one synthetic announcement, and count the
     Loc-RIB trie nodes the clone still physically shares with the live
     table versus the clone's total — near-total sharing is the
-    flat-memory claim. Implementations that materialize their Loc-RIB
-    view on demand (mutable-table speakers) report 0 shared; measure on
-    a persistent-trie domain ([bird]). *)
+    flat-memory claim. An implementation that materializes its Loc-RIB
+    on demand (Quagga's hash tables) reports 0 shared; measure on a
+    persistent-trie domain ([bird] or [xorp]). *)
 
 val checkpoint_all : ?clones:int -> t -> unit
 (** Capture every member's snapshot — plus [clones] (default 1)

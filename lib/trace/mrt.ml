@@ -1,4 +1,3 @@
-open Dice_inet
 module Wbuf = Dice_wire.Wbuf
 module Rbuf = Dice_wire.Rbuf
 
@@ -11,14 +10,9 @@ let origin_of_code c =
   | Some o -> o
   | None -> invalid_arg (Printf.sprintf "Mrt: bad origin code %d" c)
 
-let encode_prefix w p =
-  Wbuf.u8 w (Prefix.len p);
-  Wbuf.u32 w (Prefix.network p)
-
-let decode_prefix r =
-  let len = Rbuf.u8 ~what:"prefix len" r in
-  if len > 32 then invalid_arg "Mrt: prefix length > 32";
-  Prefix.make (Rbuf.u32 ~what:"prefix addr" r) len
+(* prefixes as in the speakers' images: u8 length, u32 network *)
+let encode_prefix = Dice_bgp.Pipeline.put_prefix
+let decode_prefix = Dice_bgp.Pipeline.get_prefix
 
 let encode_entry w (e : Gen.entry) =
   encode_prefix w e.prefix;

@@ -343,9 +343,46 @@ let prop_cross_dialect_agreement =
           | _ -> false)
         routes)
 
+(* Malformed dialect text fails through Parse_error at the offending
+   line, never through a constructor's Invalid_argument *)
+let test_dialect_parse_errors () =
+  let fails_at (module D : Dialect.S) line src =
+    match D.parse src with
+    | exception Config_parser.Parse_error { line = at; _ } ->
+      Alcotest.(check int) (D.name ^ ": error line") line at
+    | exception e -> Alcotest.failf "%s: %S raised %s" D.name src (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: expected a parse error for %S" D.name src
+  in
+  let quagga_community c =
+    Printf.sprintf
+      "route-map rm permit 10\n set community %s additive\nrouter bgp 64800\n\
+       \ bgp router-id 10.0.0.1\n neighbor 10.0.0.2 remote-as 64501\n\
+       \ neighbor 10.0.0.2 route-map rm in\n"
+      c
+  in
+  fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "-5:100");
+  fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "5:-100");
+  fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "5:65536");
+  let xorp_peers second =
+    Printf.sprintf
+      "protocols {\n  bgp {\n    bgp_id 10.0.0.1;\n    local_as 64800;\n\
+       \    peer a {\n      neighbor 10.0.0.2;\n      as 64501;\n    }\n\
+       \    peer %s {\n      neighbor 10.0.0.%d;\n      as 64502;\n    }\n  }\n}\n"
+      (fst second) (snd second)
+  in
+  (* the second peer's neighbor line, then its name *)
+  fails_at (module Dice_bgp3.Xorp_dialect) 10 (xorp_peers ("b", 2));
+  fails_at (module Dice_bgp3.Xorp_dialect) 9 (xorp_peers ("a", 3));
+  fails_at (module Dice_bgp3.Xorp_dialect) 4
+    "policy {\n  policy_statement p {\n  }\n  policy_statement p {\n  }\n}\n";
+  (* distinct peers still parse *)
+  Alcotest.(check int) "two distinct XORP peers" 2
+    (List.length (Dice_bgp3.Xorp_dialect.parse (xorp_peers ("b", 3))).Config_types.peers)
+
 let suite =
   [
     Alcotest.test_case "intent text round trip" `Quick test_text_roundtrip;
+    Alcotest.test_case "dialect parse errors" `Quick test_dialect_parse_errors;
     Alcotest.test_case "smart-constructor validation" `Quick test_validation;
     Alcotest.test_case "Config_types.make rejects duplicates" `Quick test_config_types_duplicates;
     Alcotest.test_case "realized structure per dialect" `Quick test_realize_structure;

@@ -575,8 +575,204 @@ let prop_panel_origin_conflict_agreement =
              reference)
           rest)
 
+(* ---- the BGP import and export rules every implementation shares ---- *)
+
+let core_side = Ipv4.of_string "10.0.4.2"
+let router_id = Ipv4.of_string "10.0.2.2"
+
+(* Two eBGP sessions and one iBGP session, all exporting; the provider's
+   import filter rejects a MED above 100 *)
+let exporting impl =
+  let cfg =
+    Config_parser.parse
+      {|
+    router id 10.0.2.2;
+    local as 64700;
+    filter provider_in { if bgp_med > 100 then reject; accept; }
+    protocol static { route 192.0.2.0/24 via 10.0.2.2; }
+    protocol bgp provider { neighbor 10.0.2.1 as 64510; import filter provider_in; export all; }
+    protocol bgp collector { neighbor 10.0.3.2 as 64701; import all; export all; }
+    protocol bgp core { neighbor 10.0.4.2 as 64700; import all; export all; }
+    |}
+  in
+  match Speakers.create impl (Speaker.Config cfg) with
+  | Some sp ->
+    List.iter (fun peer -> Speaker.establish sp ~peer) [ provider_side; collector; core_side ];
+    sp
+  | None -> Alcotest.failf "speaker %s not registered" impl
+
+let offered ?(med = Some 50) ?(communities = []) ?(path = [ 64510; 64512 ]) peer =
+  Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq path ] ~next_hop:peer ~med ~communities ()
+
+let announce_from sp peer route prefix =
+  Speaker.feed sp ~peer
+    (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ p prefix ] })
+
+(* The UPDATEs as sorted [(destination, prefix, Some route)] per
+   announced prefix and [(destination, prefix, None)] per withdrawn one *)
+let adverts outs =
+  List.concat_map
+    (fun (dst, m) ->
+      match m with
+      | Msg.Update u ->
+        List.map (fun q -> (dst, q, None)) u.Msg.withdrawn
+        @ (match Route.of_attrs u.Msg.attrs with
+          | Ok r -> List.map (fun q -> (dst, q, Some r)) u.Msg.nlri
+          | Error _ -> [])
+      | _ -> Alcotest.fail "a speaker sent a non-UPDATE in response to an UPDATE")
+    outs
+  |> List.sort compare
+
+(* the sessions [outs] sends anything to are exactly [expected] *)
+let check_receivers msg expected outs =
+  let dsts = List.sort_uniq compare (List.map (fun (dst, _, _) -> dst) (adverts outs)) in
+  Alcotest.(check (list string)) msg (List.map Ipv4.to_string expected)
+    (List.map Ipv4.to_string dsts)
+
+let test_split_horizon impl () =
+  let sp = exporting impl in
+  let outs = announce_from sp provider_side (offered provider_side) "100.1.0.0/16" in
+  check_receivers "every session but the source's hears it" [ collector; core_side ] outs
+
+let test_no_export_no_advertise impl () =
+  let sp = exporting impl in
+  let outs =
+    announce_from sp provider_side
+      (offered ~communities:[ Community.no_export ] provider_side)
+      "100.2.0.0/16"
+  in
+  Alcotest.(check bool) "a NO_EXPORT route is installed" true
+    (Speaker.best_route sp (p "100.2.0.0/16") <> None);
+  check_receivers "NO_EXPORT reaches the iBGP session only" [ core_side ] outs;
+  let outs =
+    announce_from sp provider_side
+      (offered ~communities:[ Community.no_advertise ] provider_side)
+      "100.3.0.0/16"
+  in
+  Alcotest.(check bool) "a NO_ADVERTISE route is installed" true
+    (Speaker.best_route sp (p "100.3.0.0/16") <> None);
+  check_receivers "NO_ADVERTISE reaches nobody" [] outs
+
+let test_ebgp_rewrite_ibgp_passthrough impl () =
+  let sp = exporting impl in
+  let offer = offered provider_side in
+  let outs = announce_from sp provider_side offer "100.4.0.0/16" in
+  let sent_to peer =
+    match List.filter (fun (dst, _, _) -> dst = peer) (adverts outs) with
+    | [ (_, q, Some r) ] when q = p "100.4.0.0/16" -> r
+    | _ -> Alcotest.failf "%s: expected one announcement to %s" impl (Ipv4.to_string peer)
+  in
+  let ebgp = sent_to collector in
+  Alcotest.(check bool) "eBGP prepends the local AS" true
+    (ebgp.Route.as_path = Asn.Path.prepend 64700 offer.Route.as_path);
+  Alcotest.(check string) "eBGP sets next-hop-self" (Ipv4.to_string router_id)
+    (Ipv4.to_string ebgp.Route.next_hop);
+  Alcotest.(check (option int)) "eBGP strips LOCAL_PREF" None ebgp.Route.local_pref;
+  Alcotest.(check (option int)) "eBGP strips MED" None ebgp.Route.med;
+  let ibgp = sent_to core_side in
+  Alcotest.(check bool) "iBGP keeps the path" true (ibgp.Route.as_path = offer.Route.as_path);
+  Alcotest.(check string) "iBGP keeps the next hop" (Ipv4.to_string provider_side)
+    (Ipv4.to_string ibgp.Route.next_hop);
+  Alcotest.(check (option int)) "iBGP carries the default LOCAL_PREF" (Some 100)
+    ibgp.Route.local_pref;
+  Alcotest.(check (option int)) "iBGP carries the MED" (Some 50) ibgp.Route.med
+
+let test_loop_rejected impl () =
+  let sp = exporting impl in
+  let outs =
+    announce_from sp provider_side (offered ~path:[ 64510; 64700; 64512 ] provider_side)
+      "100.5.0.0/16"
+  in
+  Alcotest.(check int) "nothing exported" 0 (List.length outs);
+  Alcotest.(check bool) "nothing installed" true
+    (Speaker.best_route sp (p "100.5.0.0/16") = None);
+  Alcotest.(check bool) "nothing learned" false
+    (Speaker.learned_from sp ~peer:provider_side (p "100.5.0.0/16"))
+
+(* An announcement, then [second] for the same prefix from the same
+   session, must withdraw the route everywhere it was exported *)
+let withdrawn_by impl second () =
+  let sp = exporting impl in
+  ignore (announce_from sp provider_side (offered provider_side) "100.6.0.0/16");
+  Alcotest.(check bool) "first installed" true
+    (Speaker.best_route sp (p "100.6.0.0/16") <> None);
+  let outs = Speaker.feed sp ~peer:provider_side second in
+  Alcotest.(check bool) "gone from the table" true
+    (Speaker.best_route sp (p "100.6.0.0/16") = None);
+  Alcotest.(check bool) "gone from the Adj-RIB-In" false
+    (Speaker.learned_from sp ~peer:provider_side (p "100.6.0.0/16"));
+  Alcotest.(check bool) "withdrawn from both sessions it reached" true
+    (adverts outs
+    = List.sort compare
+        [ (collector, p "100.6.0.0/16", None); (core_side, p "100.6.0.0/16", None) ])
+
+let test_treat_as_withdraw impl =
+  withdrawn_by impl (Msg.Update { withdrawn = []; attrs = []; nlri = [ p "100.6.0.0/16" ] })
+
+let test_policy_rejected_reannouncement impl =
+  withdrawn_by impl
+    (Msg.Update
+       { withdrawn = [];
+         attrs = Route.to_attrs (offered ~med:(Some 500) provider_side);
+         nlri = [ p "100.6.0.0/16" ] })
+
+(* Each implementation's image of one fixed seeded table, by MD5: the
+   formats are the implementations' own, and whatever code the speakers
+   share must leave them byte-identical *)
+let image_md5 =
+  [ ("bird", "5e7ab76057ee048b0767b0c91f7a6a96");
+    ("quagga", "9e3d6e753e83f96165a592e394194d63");
+    ("xorp", "4b74bc7ff5b6844bee0c56c6b49e7e64") ]
+
+let test_image_pinned impl () =
+  let sp = exporting impl in
+  let rng = Random.State.make [| 21 |] in
+  let prefix () =
+    Prefix.make
+      ((100 lsl 24) lor (Random.State.int rng 64 lsl 16) lor (Random.State.int rng 4 lsl 8))
+      (16 + (8 * Random.State.int rng 2))
+  in
+  let peers = [| provider_side; collector; core_side |] in
+  let first = function 0 -> 64510 | 1 -> 64701 | _ -> 64801 in
+  let held = ref [] in
+  for _ = 1 to 60 do
+    let i = Random.State.int rng 3 in
+    let peer = peers.(i) in
+    match Random.State.int rng 6 with
+    | 0 when !held <> [] ->
+      let q = List.nth !held (Random.State.int rng (List.length !held)) in
+      ignore (Speaker.feed sp ~peer (Msg.Update { withdrawn = [ q ]; attrs = []; nlri = [] }))
+    | k ->
+      let route =
+        offered
+          ~med:(if k = 1 then Some (Random.State.int rng 200) else None)
+          ~communities:(if k = 2 then [ Community.no_export ] else [])
+          ~path:(first i :: List.init (Random.State.int rng 4) (fun j -> 65000 + j))
+          peer
+      in
+      let nlri = List.init (1 + Random.State.int rng 3) (fun _ -> prefix ()) in
+      held := nlri @ !held;
+      let attrs = Route.to_attrs route in
+      ignore (Speaker.feed sp ~peer (Msg.Update { withdrawn = []; attrs; nlri }))
+  done;
+  Alcotest.(check bool) "the static is in the table" true
+    (Speaker.best_route sp (p "192.0.2.0/24") <> None);
+  Alcotest.(check bool) "the table is not trivial" true
+    (Rib.Loc.cardinal (Speaker.loc_rib sp) > 40);
+  Alcotest.(check string) "image MD5" (List.assoc impl image_md5)
+    (Digest.to_hex (Digest.bytes (Speaker.snapshot sp)))
+
 let conformance impl =
   [ (impl ^ ": registry identity and config", `Quick, test_identity impl);
+    (impl ^ ": split horizon", `Quick, test_split_horizon impl);
+    (impl ^ ": NO_EXPORT and NO_ADVERTISE", `Quick, test_no_export_no_advertise impl);
+    (impl ^ ": eBGP rewrite, iBGP passthrough", `Quick,
+      test_ebgp_rewrite_ibgp_passthrough impl);
+    (impl ^ ": AS-path loops are rejected", `Quick, test_loop_rejected impl);
+    (impl ^ ": malformed attributes withdraw", `Quick, test_treat_as_withdraw impl);
+    (impl ^ ": a policy-rejected re-announcement withdraws", `Quick,
+      test_policy_rejected_reannouncement impl);
+    (impl ^ ": image pinned", `Quick, test_image_pinned impl);
     (impl ^ ": feed installs with session attribution", `Quick,
       test_feed_and_attribution impl);
     (impl ^ ": update-version counter", `Quick, test_version_counter impl);
