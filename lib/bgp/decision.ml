@@ -50,21 +50,29 @@ let rules config =
     ("peer-address", fun (_, sa) (_, sb) -> Ipv4.compare sa.Route.peer_addr sb.Route.peer_addr);
   ]
 
-let compare ?(config = default_config) a b =
-  let rec go = function
-    | [] -> 0
-    | (_, rule) :: rest ->
-      let c = rule a b in
-      if c <> 0 then c else go rest
-  in
-  go (rules config)
+(* The rule list is built once for the default configuration, not on
+   every comparison. *)
+let default_rules = rules default_config
+
+let rules_of = function
+  | None -> default_rules
+  | Some config -> rules config
+
+let rec compare_by rules a b =
+  match rules with
+  | [] -> 0
+  | (_, rule) :: rest ->
+    let c = rule a b in
+    if c <> 0 then c else compare_by rest a b
+
+let compare ?config a b = compare_by (rules_of config) a b
 
 let best ?config candidates =
   match candidates with
   | [] -> None
   | first :: rest ->
-    Some
-      (List.fold_left (fun acc c -> if compare ?config c acc < 0 then c else acc) first rest)
+    let rules = rules_of config in
+    Some (List.fold_left (fun acc c -> if compare_by rules c acc < 0 then c else acc) first rest)
 
 let explain ?(config = default_config) a b =
   let rec go = function

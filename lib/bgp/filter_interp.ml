@@ -77,27 +77,34 @@ let rec eval_cond ctx ~source_as cond (cr : Croute.t) =
    steer execution through every configured rule individually (the
    mechanism behind the paper's "comprehensive of both code and
    configuration"). Site names derive from the [If]'s site and the atom's
-   position in the condition tree, so they are stable across runs. *)
+   position in the condition tree, so they are stable across runs. A
+   non-recording context builds no names: the live path just decides. *)
 let decide_cond ctx ~source_as ~site cond cr =
+  let recording = Engine.recording ctx in
+  let sub path step = if recording then path ^ step else path in
+  let here path suffix v =
+    if recording then Engine.branchf ctx (site ^ ":" ^ path ^ suffix ()) v
+    else Cval.bool_of v
+  in
   let rec go path cond =
-    let here suffix v = Engine.branchf ctx (site ^ ":" ^ path ^ suffix) v in
     match cond with
     | Filter.True -> true
     | Filter.False -> false
-    | Filter.Cmp (_, _, _) as atom -> here "c" (eval_cond ctx ~source_as atom cr)
+    | Filter.Cmp (_, _, _) as atom ->
+      here path (fun () -> "c") (eval_cond ctx ~source_as atom cr)
     | (Filter.Path_has _ | Filter.Has_community _) as atom ->
       Cval.bool_of (eval_cond ctx ~source_as atom cr)
     | Filter.Match_net pats ->
       let rec try_pats i = function
         | [] -> false
         | pat :: rest ->
-          if here (Printf.sprintf "p%d" i) (eval_pattern pat cr) then true
+          if here path (fun () -> Printf.sprintf "p%d" i) (eval_pattern pat cr) then true
           else try_pats (i + 1) rest
       in
       try_pats 0 pats
-    | Filter.And (a, b) -> if go (path ^ "l") a then go (path ^ "r") b else false
-    | Filter.Or (a, b) -> if go (path ^ "l") a then true else go (path ^ "r") b
-    | Filter.Not c -> not (go (path ^ "n") c)
+    | Filter.And (a, b) -> if go (sub path "l") a then go (sub path "r") b else false
+    | Filter.Or (a, b) -> if go (sub path "l") a then true else go (sub path "r") b
+    | Filter.Not c -> not (go (sub path "n") c)
   in
   go "" cond
 

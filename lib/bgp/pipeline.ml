@@ -118,12 +118,18 @@ let advert ~ctx (cfg : Config_types.t) (dst : Config_types.peer_cfg) prefix
         }
       else route
     in
-    match
-      Filter_interp.run_policy ctx ~source_as:src.Route.peer_asn ~local_as
-        dst.Config_types.export_policy (Croute.of_route prefix view)
-    with
-    | Filter_interp.Accepted cr -> Some (snd (Croute.to_route cr))
-    | Filter_interp.Rejected -> None
+    (* only a filter needs the route as concolic values; [Croute.of_route]
+       and [Croute.to_route] round-trip a route unchanged *)
+    match dst.Config_types.export_policy with
+    | Config_types.All -> Some view
+    | Config_types.Nothing -> None
+    | Config_types.Use_filter f -> (
+      match
+        Filter_interp.run ctx ~source_as:src.Route.peer_asn ~local_as f
+          (Croute.of_route prefix view)
+      with
+      | Filter_interp.Accepted cr -> Some (snd (Croute.to_route cr))
+      | Filter_interp.Rejected -> None)
   end
 
 let export ~ctx cfg (dst : Config_types.peer_cfg) prefix ~previously best =

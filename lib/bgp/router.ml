@@ -133,7 +133,7 @@ let decide t prefix =
 
 (* Compute the UPDATE (if any) for [prefix]'s new best towards [dst], and
    update the Adj-RIB-Out. *)
-let export_to ?(ctx = Engine.null ()) t (dst : peer_rt) prefix best =
+let export_to ?(ctx = Engine.null) t (dst : peer_rt) prefix best =
   if dst.fsm <> Fsm.Established then []
   else begin
     let previously = Rib.Adj.find_opt prefix dst.adj_out in
@@ -232,14 +232,15 @@ let import_concolic ~ctx t ~peer croute =
     ~best:(fun prefix -> Rib.Loc.find_opt prefix t.loc)
     ~probe:(fun cr previous_best ->
       rib_walk_probe ctx t cr;
-      (* record the concolic would-beat constraints for the explorer *)
-      ignore (concolic_beats ctx cr previous_best))
+      (* record the concolic would-beat constraints for the explorer; the
+         live path has nothing to record and discards the result *)
+      if Engine.recording ctx then ignore (concolic_beats ctx cr previous_best))
     ~learn:(fun prefix route ->
       p.adj_in <- Rib.Adj.add prefix route p.adj_in;
       reconsider ~ctx t prefix)
 
 (* Normal-path UPDATE processing. *)
-let process_update ?(ctx = Engine.null ()) t ~peer u =
+let process_update ?(ctx = Engine.null) t ~peer u =
   let p = peer_exn t peer in
   Pipeline.process_update u
     ~import:(import_concolic ~ctx t ~peer)

@@ -148,8 +148,9 @@ let establish t ~peer =
     (* Prime the Adj-RIB-Out as an initial exchange would; the messages
        themselves are the session-establishment traffic the core never
        forwards, so they are not returned. *)
-    let ctx = Engine.null () in
-    Hashtbl.iter (fun prefix entry -> ignore (export_to ~ctx t p prefix (Some entry))) t.main
+    Hashtbl.iter
+      (fun prefix entry -> ignore (export_to ~ctx:Engine.null t p prefix (Some entry)))
+      t.main
   end
 
 let session_clear ~ctx t (p : peer_st) =
@@ -187,7 +188,7 @@ let process_update ~ctx t ~peer u =
       end)
     ~tick:(fun () -> t.updates <- t.updates + 1)
 
-let feed ?(ctx = Engine.null ()) t ~peer msg =
+let feed ?(ctx = Engine.null) t ~peer msg =
   let p = peer_exn t peer in
   match msg with
   | Msg.Update u -> if p.up then process_update ~ctx t ~peer u else []

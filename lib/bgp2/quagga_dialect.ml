@@ -156,7 +156,7 @@ type raw_seq = {
 
 type raw_neighbor = {
   mutable remote_as : int option;
-  mutable descr : string option;
+  mutable descr : (int * string) option;  (* line, session name *)
   mutable rm_in : string option;
   mutable rm_out : string option;
 }
@@ -288,7 +288,7 @@ let parse src =
       in
       match rest with
       | [ "remote-as"; asn ] -> nb.remote_as <- Some (int_of ln asn "AS number")
-      | [ "description"; d ] -> nb.descr <- Some d
+      | [ "description"; d ] -> nb.descr <- Some (ln, d)
       | [ "route-map"; rm; "in" ] -> nb.rm_in <- Some rm
       | [ "route-map"; rm; "out" ] -> nb.rm_out <- Some rm
       | _ -> fail ln "malformed neighbor line"
@@ -384,7 +384,9 @@ let parse src =
         | None -> fail 0 (Printf.sprintf "neighbor %s has no remote-as" (Ipv4.to_string ip))
         | Some remote_as ->
           let name =
-            Option.value nb.descr ~default:("peer_" ^ Ipv4.to_string ip)
+            match nb.descr with
+            | Some (_, d) -> d
+            | None -> "peer_" ^ Ipv4.to_string ip
           in
           {
             (Config_types.default_peer ~name ~neighbor:ip ~remote_as) with
@@ -393,6 +395,25 @@ let parse src =
           })
       !nb_order
   in
+  (* Session names must be distinct. A default name [peer_<ip>] is unique
+     per neighbor, so a clash always involves a description: report the
+     first description line that takes a name already in use. *)
+  let taken = Hashtbl.create 8 in
+  let described =
+    List.filter_map
+      (fun ip ->
+        match (Hashtbl.find neighbors ip).descr with
+        | Some d -> Some d
+        | None ->
+          Hashtbl.replace taken ("peer_" ^ Ipv4.to_string ip) ();
+          None)
+      !nb_order
+  in
+  List.iter
+    (fun (ln, d) ->
+      if Hashtbl.mem taken d then fail ln (Printf.sprintf "duplicate neighbor name %S" d);
+      Hashtbl.replace taken d ())
+    (List.sort compare described);
   match (!router_id, !local_as) with
   | Some router_id, Some local_as ->
     Config_types.make ~router_id ~local_as ~peers ~static_routes:(List.rev !statics)

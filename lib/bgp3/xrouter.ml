@@ -148,12 +148,11 @@ let decide t prefix =
    is session-establishment traffic the narrow interface never sees. *)
 let ensure_rout t (p : peer_st) =
   if p.up && p.rout = None then begin
-    let ctx = Engine.null () in
     p.rout <-
       Some
         (Rib.Loc.fold
            (fun prefix e acc ->
-             match Pipeline.advert ~ctx t.cfg p.pcfg prefix e with
+             match Pipeline.advert ~ctx:Engine.null t.cfg p.pcfg prefix e with
              | Some r -> Rib.Adj.add prefix r acc
              | None -> acc)
            t.main Rib.Adj.empty)
@@ -232,7 +231,7 @@ let process_update ~ctx t ~peer u =
       end)
     ~tick:(fun () -> t.updates <- t.updates + 1)
 
-let feed ?(ctx = Engine.null ()) t ~peer msg =
+let feed ?(ctx = Engine.null) t ~peer msg =
   let p = peer_exn t peer in
   match msg with
   | Msg.Update u -> if p.up then process_update ~ctx t ~peer u else []

@@ -32,11 +32,10 @@ let unop op a =
     | Sym.Lnot -> 1
     | Sym.Neg | Sym.Bnot -> a.width
   in
-  let e = Sym.Unop (op, term a) in
-  let conc = Sym.eval (Hashtbl.create 0) (Sym.Unop (op, Sym.const ~width:a.width a.conc)) in
+  let conc = Sym.apply_unop op w a.conc in
   match a.sym with
   | None -> { conc; sym = None; width = w }
-  | Some _ -> { conc; sym = Some e; width = w }
+  | Some _ -> { conc; sym = Some (Sym.Unop (op, term a)); width = w }
 
 let binop op a b =
   let w =
@@ -46,10 +45,7 @@ let binop op a b =
     | Sym.Shl | Sym.Lshr ->
       max a.width b.width
   in
-  let conc =
-    Sym.eval (Hashtbl.create 0)
-      (Sym.Binop (op, Sym.const ~width:a.width a.conc, Sym.const ~width:b.width b.conc))
-  in
+  let conc = Sym.apply_binop op w a.conc b.conc in
   match (a.sym, b.sym) with
   | None, None -> { conc; sym = None; width = w }
   | _, _ -> { conc; sym = Some (Sym.Binop (op, term a, term b)); width = w }

@@ -55,7 +55,10 @@ let create ?coverage ~space ~overrides () =
     coverage;
   }
 
-let null () =
+(* Shared by every non-recording caller, on any domain: [input],
+   [constrain] and [branch] write its fields only while recording, so
+   nothing ever writes it. *)
+let null =
   {
     recording = false;
     space = None;
@@ -104,7 +107,10 @@ let branch t site cond =
   end;
   taken
 
-let branchf t name cond = branch t (Path.Site.intern name) cond
+(* Interning takes the process-global site lock, so only a recording run
+   pays for it; a non-recording branch just evaluates. *)
+let branchf t name cond =
+  if t.recording then branch t (Path.Site.intern name) cond else Cval.bool_of cond
 
 let env t = t.concrete_env
 

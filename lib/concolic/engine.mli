@@ -32,9 +32,11 @@ val create : ?coverage:Coverage.t -> space:Space.t -> overrides:Sym.env -> unit 
     chosen concrete values by variable id; inputs not overridden use their
     program-supplied defaults. *)
 
-val null : unit -> ctx
-(** A non-recording context: inputs stay concrete, branches just evaluate.
-    This is what the deployed system runs with. *)
+val null : ctx
+(** The non-recording context: inputs stay concrete, branches just evaluate.
+    This is what the deployed system runs with. It is one shared value, safe
+    to share across domains: nothing writes it, since a context's state is
+    written only while recording. *)
 
 val recording : ctx -> bool
 
@@ -55,7 +57,9 @@ val branch : ctx -> Path.Site.t -> Cval.t -> bool
     the site either way (when recording). *)
 
 val branchf : ctx -> string -> Cval.t -> bool
-(** [branch] with the site interned from a name — convenient at use sites. *)
+(** [branch] with the site interned from a name — convenient at use sites.
+    The name is interned only while recording: a non-recording context
+    registers no site. *)
 
 val env : ctx -> Sym.env
 (** Concrete values the run's inputs actually had (by variable id) — the

@@ -46,6 +46,13 @@ val wrap : int -> int64 -> int64
 type env = (int, int64) Hashtbl.t
 (** Assignment from variable id to (unsigned, already wrapped) value. *)
 
+val apply_unop : unop -> int -> int64 -> int64
+(** [apply_unop op w v] is the value of [op] at result width [w] on an
+    operand already wrapped to its width — one step of {!eval}. *)
+
+val apply_binop : binop -> int -> int64 -> int64 -> int64
+(** [apply_binop op w a b]: as {!apply_unop}, for a binary operator. *)
+
 val eval : env -> t -> int64
 (** Evaluate under an assignment. Unbound variables evaluate to 0.
     Division or remainder by zero yields all-ones (hardware-ish total

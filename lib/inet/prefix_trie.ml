@@ -10,7 +10,9 @@ type 'a t =
 
 let empty = Empty
 
-let is_empty t = t = Empty
+let is_empty = function
+  | Empty -> true
+  | Node _ -> false
 
 let cardinal = function
   | Empty -> 0
@@ -30,21 +32,36 @@ let node prefix value left right =
   | None, (Node _ as child), Empty | None, Empty, (Node _ as child) -> child
   | Some _, _, _ | None, Node _, Node _ -> mk prefix value left right
 
+(* Bit arithmetic on the networks as native ints (an [Ipv4.t] is an int in
+   [0, 2^32)); bit 0 is the most significant bit of the 32-bit word. *)
+
+(* Do [a] and [b] agree on their first [l] bits? Valid for 0 <= l <= 32. *)
+let agree a b l = (a lxor b) lsr (32 - l) = 0
+
+(* Bit [i] of address [a], for 0 <= i < 32. *)
+let bit a i = (a lsr (31 - i)) land 1 = 1
+
+(* Leading zeros of a non-zero 32-bit word, in five halving steps. *)
+let clz32 x =
+  let z = x land 0xFFFF0000 = 0 in
+  let n = if z then 16 else 0 and x = if z then x lsl 16 else x in
+  let z = x land 0xFF000000 = 0 in
+  let n = if z then n + 8 else n and x = if z then x lsl 8 else x in
+  let z = x land 0xF0000000 = 0 in
+  let n = if z then n + 4 else n and x = if z then x lsl 4 else x in
+  let z = x land 0xC0000000 = 0 in
+  let n = if z then n + 2 else n and x = if z then x lsl 2 else x in
+  if x land 0x80000000 = 0 then n + 1 else n
+
 (* Length of the longest common prefix of [p] and [q]. *)
-let common_len p q =
-  let limit = min (Prefix.len p) (Prefix.len q) in
-  let x = Ipv4.to_int32 (Prefix.network p) and y = Ipv4.to_int32 (Prefix.network q) in
-  let diff = Int32.to_int (Int32.logxor x y) land 0xFFFFFFFF in
-  if diff = 0 then limit
-  else begin
-    (* index of highest set bit, counting bit 0 as the MSB of the word *)
-    let rec top i = if diff lsr (31 - i) <> 0 then i else top (i + 1) in
-    min limit (top 0)
-  end
+let common_len (p : Prefix.t) (q : Prefix.t) =
+  let limit = Int.min p.len q.len in
+  let diff = p.network lxor q.network in
+  if diff = 0 then limit else Int.min limit (clz32 diff)
 
 (* Bit [i] of prefix [q]'s network address (valid for i < 32, even beyond
    [len q] since the tail is zero — callers only use i < len q). *)
-let qbit q i = Ipv4.bit (Prefix.network q) i
+let qbit (q : Prefix.t) i = bit q.network i
 
 let rec add p v t =
   match t with
@@ -69,23 +86,27 @@ let rec add p v t =
       end
     end
 
-let rec remove p t =
+(* [remove] and [find_opt] descend while the node is a strict ancestor of
+   [p]: shorter, and agreeing with [p] on the node's bits. *)
+let rec remove (p : Prefix.t) t =
   match t with
   | Empty -> Empty
   | Node n ->
-    if Prefix.equal p n.prefix then node n.prefix None n.left n.right
-    else if Prefix.subsumes n.prefix p && Prefix.len n.prefix < Prefix.len p then
-      if qbit p (Prefix.len n.prefix) then node n.prefix n.value n.left (remove p n.right)
-      else node n.prefix n.value (remove p n.left) n.right
+    let q = n.prefix in
+    if q.len = p.len && q.network = p.network then node q None n.left n.right
+    else if q.len < p.len && agree p.network q.network q.len then
+      if bit p.network q.len then node q n.value n.left (remove p n.right)
+      else node q n.value (remove p n.left) n.right
     else t
 
-let rec find_opt p t =
+let rec find_opt (p : Prefix.t) t =
   match t with
   | Empty -> None
   | Node n ->
-    if Prefix.equal p n.prefix then n.value
-    else if Prefix.subsumes n.prefix p && Prefix.len n.prefix < Prefix.len p then
-      find_opt p (if qbit p (Prefix.len n.prefix) then n.right else n.left)
+    let q = n.prefix in
+    if q.len = p.len && q.network = p.network then n.value
+    else if q.len < p.len && agree p.network q.network q.len then
+      find_opt p (if bit p.network q.len then n.right else n.left)
     else None
 
 let mem p t = find_opt p t <> None
@@ -100,14 +121,14 @@ let longest_match addr t =
     match t with
     | Empty -> best
     | Node n ->
-      if Prefix.contains n.prefix addr then begin
+      let q = n.prefix in
+      if agree addr q.network q.len then begin
         let best =
           match n.value with
-          | Some v -> Some (n.prefix, v)
+          | Some v -> Some (q, v)
           | None -> best
         in
-        if Prefix.len n.prefix >= 32 then best
-        else go best (if Ipv4.bit addr (Prefix.len n.prefix) then n.right else n.left)
+        if q.len >= 32 then best else go best (if bit addr q.len then n.right else n.left)
       end
       else best
   in
@@ -118,26 +139,28 @@ let descent addr t =
     match t with
     | Empty -> List.rev acc
     | Node n ->
-      let acc = (n.prefix, n.value <> None) :: acc in
-      if Prefix.contains n.prefix addr && Prefix.len n.prefix < 32 then
-        go acc (if Ipv4.bit addr (Prefix.len n.prefix) then n.right else n.left)
+      let q = n.prefix in
+      let acc = (q, n.value <> None) :: acc in
+      if q.len < 32 && agree addr q.network q.len then
+        go acc (if bit addr q.len then n.right else n.left)
       else List.rev acc
   in
   go [] t
 
-let covering p t =
+let covering (p : Prefix.t) t =
   let rec go acc t =
     match t with
     | Empty -> List.rev acc
     | Node n ->
-      if Prefix.subsumes n.prefix p then begin
+      let q = n.prefix in
+      if q.len <= p.len && agree p.network q.network q.len then begin
         let acc =
           match n.value with
-          | Some v -> (n.prefix, v) :: acc
+          | Some v -> (q, v) :: acc
           | None -> acc
         in
-        if Prefix.len n.prefix >= Prefix.len p then List.rev acc
-        else go acc (if qbit p (Prefix.len n.prefix) then n.right else n.left)
+        if q.len = p.len then List.rev acc
+        else go acc (if bit p.network q.len then n.right else n.left)
       end
       else List.rev acc
   in
@@ -154,19 +177,17 @@ let rec fold f t acc =
     in
     fold f n.right (fold f n.left acc)
 
-let covered p t =
+let covered (p : Prefix.t) t =
   (* descend to the subtree rooted at/below p, then collect everything *)
   let rec go t =
     match t with
     | Empty -> []
     | Node n ->
-      if Prefix.subsumes p n.prefix then
+      let q = n.prefix in
+      if q.len >= p.len && agree q.network p.network p.len then
         List.rev (fold (fun q v acc -> (q, v) :: acc) t [])
-      else if Prefix.subsumes n.prefix p then
-        if Prefix.len n.prefix = Prefix.len p then
-          (* same prefix: n.prefix = p, handled by first branch *)
-          []
-        else go (if qbit p (Prefix.len n.prefix) then n.right else n.left)
+      else if q.len < p.len && agree p.network q.network q.len then
+        go (if bit p.network q.len then n.right else n.left)
       else []
   in
   go t

@@ -58,7 +58,7 @@ let test_coverage () =
 (* ---- Engine ---- *)
 
 let test_null_ctx_concrete () =
-  let ctx = Engine.null () in
+  let ctx = Engine.null in
   let v = Engine.input ctx ~name:"n" ~width:32 ~default:42L in
   Alcotest.(check bool) "no shadow" false (Cval.is_symbolic v);
   Alcotest.(check int) "default" 42 (Cval.to_int v);
@@ -135,6 +135,52 @@ let test_env_reflects_inputs () =
   let var = Engine.Space.var space ~name:"e1" ~width:8 in
   Alcotest.(check (option int64)) "env" (Some 9L) (Hashtbl.find_opt (Engine.env ctx) var.Sym.id)
 
+(* The live path runs uninstrumented: a feed under the default null
+   context decides the filter's [If] without interning its branch site,
+   and only an exploration run — recording, over a clone — registers it. *)
+let test_null_feed_interns_no_site () =
+  let open Dice_inet in
+  let open Dice_bgp in
+  let open Dice_core in
+  let provider = Ipv4.of_string "10.0.2.1" in
+  let cfg =
+    Config_parser.parse
+      {|
+    router id 10.0.2.2;
+    local as 64700;
+    filter null_feed_site_probe { if bgp_path.len > 5 then reject; accept; }
+    protocol bgp provider { neighbor 10.0.2.1 as 64510; import filter null_feed_site_probe; export none; }
+    |}
+  in
+  let site =
+    match Config_types.find_filter cfg "null_feed_site_probe" with
+    | Some { Filter.body = Filter.If { site; _ } :: _; _ } -> site ^ ":c"
+    | _ -> Alcotest.fail "expected the filter to open with an If"
+  in
+  let registered () =
+    match Path.Site.of_existing site with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  let sp = Speaker.create (module Speakers.Bird) (Speaker.Config cfg) in
+  Speaker.establish sp ~peer:provider;
+  let route =
+    Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64510; 64512 ] ] ~next_hop:provider ()
+  in
+  let prefix = Prefix.of_string "100.80.0.0/16" in
+  let msg = Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] } in
+  ignore (Speaker.feed sp ~peer:provider msg);
+  Alcotest.(check bool) "the filter ran and accepted" true
+    (Speaker.best_route sp prefix <> None);
+  Alcotest.(check bool) "the live feed interned no site" false (registered ());
+  let report =
+    Explorer.explore
+      ~config:{ Explorer.default_config with Explorer.max_runs = 1 }
+      (fun ctx -> ignore (Speaker.feed ~ctx (Speaker.clone sp) ~peer:provider msg))
+  in
+  Alcotest.(check int) "one run" 1 report.Explorer.executions;
+  Alcotest.(check bool) "the explored run interned the site" true (registered ())
+
 let suite =
   [ ("site intern", `Quick, test_site_intern);
     ("site of_existing", `Quick, test_site_of_existing);
@@ -143,6 +189,7 @@ let suite =
     ("path signature", `Quick, test_signature);
     ("coverage", `Quick, test_coverage);
     ("null ctx concrete", `Quick, test_null_ctx_concrete);
+    ("null feed interns no site", `Quick, test_null_feed_interns_no_site);
     ("input default", `Quick, test_recording_input_default);
     ("input override", `Quick, test_recording_input_override);
     ("branch records symbolic only", `Quick, test_branch_records_symbolic_only);

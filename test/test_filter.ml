@@ -205,7 +205,7 @@ let base_route =
 
 let run_filter body prefix route =
   let f = parse_filter body in
-  Filter_interp.run (Engine.null ()) ~source_as:64501 ~local_as:64510 f
+  Filter_interp.run Engine.null ~source_as:64501 ~local_as:64510 f
     (croute_of prefix route)
 
 let expect_accept body prefix route =
@@ -291,7 +291,7 @@ let test_interp_concolic_matches_concrete () =
       med = Engine.input ctx ~name:"fm" ~width:32 ~default:10L;
     }
   in
-  let v_conc = Filter_interp.run (Engine.null ()) ~source_as:1 ~local_as:2 f cr_conc in
+  let v_conc = Filter_interp.run Engine.null ~source_as:1 ~local_as:2 f cr_conc in
   let v_sym = Filter_interp.run ctx ~source_as:1 ~local_as:2 f cr_sym in
   let verdict = function Filter_interp.Accepted _ -> true | Filter_interp.Rejected -> false in
   Alcotest.(check bool) "same verdict" (verdict v_conc) (verdict v_sym);
@@ -308,7 +308,7 @@ let test_eval_pattern_concolic_agrees () =
       let expect = Filter.pattern_matches pt pfx in
       let got =
         Dice_concolic.Cval.bool_of
-          (Filter_interp.eval_cond (Engine.null ()) ~source_as:1 (Filter.Match_net [ pt ]) cr)
+          (Filter_interp.eval_cond Engine.null ~source_as:1 (Filter.Match_net [ pt ]) cr)
       in
       Alcotest.(check bool) s expect got)
     [ "198.51.100.0/22"; "198.51.101.0/24"; "198.51.100.0/28"; "198.51.100.0/29";

@@ -127,7 +127,7 @@ let test_realize_structure () =
 let run_filter cfg name croute =
   match Config_types.find_filter cfg name with
   | None -> Alcotest.failf "filter %s missing" name
-  | Some f -> Filter_interp.run (Engine.null ()) ~source_as:64501 ~local_as:64800 f croute
+  | Some f -> Filter_interp.run Engine.null ~source_as:64501 ~local_as:64800 f croute
 
 let route ?(path = [ 64501 ]) ?med ?(communities = []) () =
   Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq path ] ~med
@@ -300,7 +300,7 @@ let flat_path (r : Route.t) =
 let verdict cfg prefix r =
   match Config_types.find_filter cfg "pol" with
   | None -> Alcotest.fail "realized config lost the policy"
-  | Some f -> Filter_interp.run (Engine.null ()) ~source_as:64501 ~local_as:64800 f
+  | Some f -> Filter_interp.run Engine.null ~source_as:64501 ~local_as:64800 f
                 (Croute.of_route prefix r)
 
 let verdict_equal va vb =
@@ -363,6 +363,25 @@ let test_dialect_parse_errors () =
   fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "-5:100");
   fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "5:-100");
   fails_at (module Dice_bgp2.Quagga_dialect) 2 (quagga_community "5:65536");
+  let quagga_names first second =
+    Printf.sprintf
+      "router bgp 64800\n bgp router-id 10.0.0.1\n neighbor 10.0.0.2 remote-as 64501\n%s\
+       \ neighbor 10.0.0.3 remote-as 64502\n%s"
+      first second
+  in
+  (* two descriptions share a name; a description takes another
+     neighbor's default name, after it and before it *)
+  fails_at (module Dice_bgp2.Quagga_dialect) 6
+    (quagga_names " neighbor 10.0.0.2 description up\n" " neighbor 10.0.0.3 description up\n");
+  fails_at (module Dice_bgp2.Quagga_dialect) 5
+    (quagga_names "" " neighbor 10.0.0.3 description peer_10.0.0.2\n");
+  fails_at (module Dice_bgp2.Quagga_dialect) 4
+    (quagga_names " neighbor 10.0.0.2 description peer_10.0.0.3\n" "");
+  Alcotest.(check int) "two distinct Quagga names" 2
+    (List.length
+       (Dice_bgp2.Quagga_dialect.parse
+          (quagga_names " neighbor 10.0.0.2 description up\n" " neighbor 10.0.0.3 description down\n"))
+         .Config_types.peers);
   let xorp_peers second =
     Printf.sprintf
       "protocols {\n  bgp {\n    bgp_id 10.0.0.1;\n    local_as 64800;\n\

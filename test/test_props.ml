@@ -216,7 +216,7 @@ let prop_filter_concolic_equiv =
           ~med:(Some med) ~next_hop:(ip "10.0.1.2") ()
       in
       let concrete =
-        Filter_interp.run (Engine.null ()) ~source_as:64501 ~local_as:64510
+        Filter_interp.run Engine.null ~source_as:64501 ~local_as:64510
           filter_under_test
           (Croute.of_route prefix route)
       in
@@ -252,7 +252,7 @@ let prop_import_concolic_matches_concrete_processing =
            (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] }));
       let via_concolic = ready () in
       let outcome =
-        Router.import_concolic ~ctx:(Engine.null ()) via_concolic ~peer:peer_a
+        Router.import_concolic ~ctx:Engine.null via_concolic ~peer:peer_a
           (Croute.of_route prefix route)
       in
       let best r = Option.map (fun (e : Rib.Loc.entry) -> e.Rib.Loc.route) (Router.best_route r prefix) in

@@ -330,7 +330,7 @@ let test_import_concolic_accept () =
     Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~next_hop:customer ()
   in
   let cr = Croute.of_route (p "203.0.113.0/24") route in
-  let ctx = Engine.null () in
+  let ctx = Engine.null in
   let outcome = Router.import_concolic ~ctx r ~peer:customer cr in
   Alcotest.(check bool) "accepted" true outcome.Import.accepted;
   Alcotest.(check bool) "installed" true outcome.Import.installed;
@@ -342,7 +342,7 @@ let test_import_concolic_reject () =
     Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~next_hop:customer ()
   in
   let cr = Croute.of_route (p "10.99.0.0/16") route in
-  let outcome = Router.import_concolic ~ctx:(Engine.null ()) r ~peer:customer cr in
+  let outcome = Router.import_concolic ~ctx:Engine.null r ~peer:customer cr in
   Alcotest.(check bool) "rejected" false outcome.Import.accepted;
   Alcotest.(check bool) "not installed" false outcome.Import.installed
 
@@ -353,7 +353,7 @@ let test_import_concolic_previous_best () =
     Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~next_hop:customer ()
   in
   let cr = Croute.of_route (p "203.0.113.0/24") route in
-  let outcome = Router.import_concolic ~ctx:(Engine.null ()) r ~peer:customer cr in
+  let outcome = Router.import_concolic ~ctx:Engine.null r ~peer:customer cr in
   (match outcome.Import.previous_best with
   | Some e ->
     Alcotest.(check (option int)) "old origin" (Some 64999) (Route.origin_as e.Rib.Loc.route)
@@ -364,7 +364,7 @@ let test_import_concolic_unknown_peer () =
   let r = ready () in
   let route = Route.make ~as_path:[ Asn.Path.Seq [ 1 ] ] ~next_hop:customer () in
   let cr = Croute.of_route (p "1.0.0.0/8") route in
-  match Router.import_concolic ~ctx:(Engine.null ()) r ~peer:(ip "1.2.3.4") cr with
+  match Router.import_concolic ~ctx:Engine.null r ~peer:(ip "1.2.3.4") cr with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 

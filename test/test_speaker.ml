@@ -157,7 +157,7 @@ let test_clone_of_restored_base impl () =
   let outcome =
     match a with
     | Speaker.Inst ((module M), _, a) ->
-      M.import_concolic ~ctx:(Dice_concolic.Engine.null ()) a ~peer:provider_side
+      M.import_concolic ~ctx:Dice_concolic.Engine.null a ~peer:provider_side
         (Croute.of_route (p "100.88.0.0/16") route)
   in
   Alcotest.(check bool) "clone A accepted the route" true outcome.Speaker.accepted;
@@ -271,7 +271,7 @@ let test_patch_rebuilds_snapshot impl () =
       let apply sp = function
         | `Import (prefix, hops) ->
           ignore
-            (M.import_concolic ~ctx:(Dice_concolic.Engine.null ()) sp ~peer:provider_side
+            (M.import_concolic ~ctx:Dice_concolic.Engine.null sp ~peer:provider_side
                (Croute.of_route (p prefix) (route ~hops 64510)))
         | `Reannounce prefix ->
           ignore

@@ -124,20 +124,43 @@ let test_descent_stops_at_mismatch () =
 
 (* ---- model-based property tests ---- *)
 
-let arb_op =
-  let open QCheck in
-  let arb_prefix =
-    map
-      (fun (a, l) -> Prefix.make (a land 0xFFFFFFFF) l)
-      (pair (int_bound 0xFFFFFF) (int_bound 32))
+(* One generator for every property: networks over the whole 32-bit space
+   (so the high-order bits are exercised), the /0 and /32 lengths drawn
+   often, and about half the prefixes clustered under a few random bases
+   per case, so nested and forking prefixes keep occurring. A property's
+   case generator is built from the prefix and address generators of one
+   draw of bases. *)
+let gen_case (f : Prefix.t QCheck.Gen.t -> Ipv4.t QCheck.Gen.t -> 'a QCheck.Gen.t) =
+  let open QCheck.Gen in
+  let word = int_range 0 0xFFFFFFFF in
+  list_size (int_range 1 3) word >>= fun bases ->
+  let addr =
+    frequency [ (1, word); (1, map2 (fun b low -> b lxor low) (oneofl bases) (int_bound 0xFFF)) ]
   in
-  let arb_addr = map (fun a -> a land 0xFFFFFFFF) (int_bound 0xFFFFFF) in
-  oneof
-    [ map (fun (pfx, v) -> `Add (pfx, v)) (pair arb_prefix small_int);
-      map (fun pfx -> `Remove pfx) arb_prefix;
-      map (fun pfx -> `Find pfx) arb_prefix;
-      map (fun a -> `Lpm a) arb_addr
-    ]
+  let len = frequency [ (1, return 0); (1, return 32); (6, int_range 0 32) ] in
+  f (map2 Prefix.make addr len) addr
+
+let print_prefixes l = QCheck.Print.list Prefix.to_string l
+
+let print_op = function
+  | `Add (q, v) -> Printf.sprintf "add %s %d" (Prefix.to_string q) v
+  | `Remove q -> "remove " ^ Prefix.to_string q
+  | `Find q -> "find " ^ Prefix.to_string q
+  | `Lpm a -> "lpm " ^ Ipv4.to_string a
+  | `Descent a -> "descent " ^ Ipv4.to_string a
+
+let arb_ops =
+  QCheck.make ~print:(QCheck.Print.list print_op)
+    (gen_case (fun prefix addr ->
+         let open QCheck.Gen in
+         list_size (int_range 0 60)
+           (oneof
+              [ map2 (fun q v -> `Add (q, v)) prefix small_int;
+                map (fun q -> `Remove q) prefix;
+                map (fun q -> `Find q) prefix;
+                map (fun a -> `Lpm a) addr;
+                map (fun a -> `Descent a) addr
+              ])))
 
 (* reference model: association list keyed by prefix *)
 let model_add pfx v m = (pfx, v) :: List.remove_assoc pfx m
@@ -155,10 +178,28 @@ let model_lpm a m =
       else acc)
     None m
 
+(* A descent visits nodes of strictly growing length, each containing the
+   address but possibly the last; the bound nodes it visits are bound in
+   the model, and the containing ones are exactly the model's prefixes
+   that contain the address, shortest first. *)
+let descent_agrees a visited m =
+  let rec walk = function
+    | [] | [ _ ] -> true
+    | (q, _) :: ((r, _) :: _ as rest) ->
+      Prefix.contains q a && Prefix.len q < Prefix.len r && walk rest
+  in
+  let bound = List.filter_map (fun (q, b) -> if b then Some q else None) visited in
+  let containing =
+    List.filter (fun (q, _) -> Prefix.contains q a) m
+    |> List.map fst
+    |> List.sort (fun q r -> Int.compare (Prefix.len q) (Prefix.len r))
+  in
+  walk visited
+  && List.for_all (fun q -> List.mem_assoc q m) bound
+  && List.filter (fun q -> Prefix.contains q a) bound = containing
+
 let prop_model =
-  QCheck.Test.make ~name:"trie agrees with assoc-list model" ~count:300
-    (QCheck.list_of_size (QCheck.Gen.int_range 0 60) arb_op)
-    (fun ops ->
+  QCheck.Test.make ~name:"trie agrees with assoc-list model" ~count:300 arb_ops (fun ops ->
       let trie = ref T.empty and model = ref [] in
       List.for_all
         (fun op ->
@@ -177,18 +218,16 @@ let prop_model =
             | None, None -> true
             | Some (q1, v1), Some (q2, v2) -> Prefix.equal q1 q2 && v1 = v2
             | Some _, None | None, Some _ -> false
-          end)
+          end
+          | `Descent a -> descent_agrees a (T.descent a !trie) !model)
         ops)
 
 let prop_to_list_sorted =
   QCheck.Test.make ~name:"to_list is sorted and duplicate-free" ~count:200
-    (QCheck.list_of_size
-       (QCheck.Gen.int_range 0 40)
-       (QCheck.map
-          (fun (a, l) -> (Prefix.make (a land 0xFFFFFFFF) l, a))
-          (QCheck.pair (QCheck.int_bound 0xFFFFFF) (QCheck.int_bound 32))))
-    (fun pairs ->
-      let t = T.of_list pairs in
+    (QCheck.make ~print:print_prefixes
+       (gen_case (fun prefix _ -> QCheck.Gen.(list_size (int_range 0 40) prefix))))
+    (fun prefixes ->
+      let t = T.of_list (List.map (fun q -> (q, ())) prefixes) in
       let keys = List.map fst (T.to_list t) in
       let rec sorted = function
         | a :: (b :: _ as rest) -> Prefix.compare a b < 0 && sorted rest
@@ -198,17 +237,11 @@ let prop_to_list_sorted =
 
 let prop_covering_covered_dual =
   QCheck.Test.make ~name:"covering/covered agree with subsumes" ~count:200
-    (QCheck.pair
-       (QCheck.list_of_size
-          (QCheck.Gen.int_range 0 30)
-          (QCheck.map
-             (fun (a, l) -> (Prefix.make (a land 0xFFFFFFFF) l, 0))
-             (QCheck.pair (QCheck.int_bound 0xFFFFFF) (QCheck.int_bound 32))))
-       (QCheck.map
-          (fun (a, l) -> Prefix.make (a land 0xFFFFFFFF) l)
-          (QCheck.pair (QCheck.int_bound 0xFFFFFF) (QCheck.int_bound 32))))
-    (fun (pairs, q) ->
-      let t = T.of_list pairs in
+    (QCheck.make
+       ~print:(QCheck.Print.pair print_prefixes Prefix.to_string)
+       (gen_case (fun prefix _ -> QCheck.Gen.(pair (list_size (int_range 0 30) prefix) prefix))))
+    (fun (prefixes, q) ->
+      let t = T.of_list (List.map (fun x -> (x, 0)) prefixes) in
       let covering = List.map fst (T.covering q t) in
       let covered = List.map fst (T.covered q t) in
       let all = List.map fst (T.to_list t) in
@@ -241,21 +274,27 @@ let naive_diff a b =
     @ only lb la (fun q w -> (q, None, Some w)))
 
 let prop_diff =
-  let arb_prefix =
-    QCheck.map
-      (fun (a, l) -> Prefix.make (a land 0xFFFFFFFF) l)
-      (QCheck.pair (QCheck.int_bound 0xFFFFFF) (QCheck.int_bound 32))
+  let print_edit = function
+    | `Add (q, v) -> Printf.sprintf "add %s %d" (Prefix.to_string q) v
+    | `Remove q -> "remove " ^ Prefix.to_string q
+    | `Remove_nth i -> Printf.sprintf "remove #%d" i
   in
-  let bindings = QCheck.list_of_size (QCheck.Gen.int_range 0 40) (QCheck.pair arb_prefix QCheck.small_int) in
-  let edits =
-    QCheck.list_of_size (QCheck.Gen.int_range 0 12)
-      (QCheck.oneof
-         [ QCheck.map (fun (q, v) -> `Add (q, v)) (QCheck.pair arb_prefix QCheck.small_int);
-           QCheck.map (fun i -> `Remove_nth i) QCheck.small_nat;
-           QCheck.map (fun q -> `Remove q) arb_prefix ])
-  in
+  let print_bindings = QCheck.Print.(list (pair Prefix.to_string int)) in
   QCheck.Test.make ~name:"diff agrees with the naive binding difference" ~count:300
-    (QCheck.triple bindings edits bindings)
+    (QCheck.make
+       ~print:(QCheck.Print.triple print_bindings (QCheck.Print.list print_edit) print_bindings)
+       (gen_case (fun prefix _ ->
+            let open QCheck.Gen in
+            let bindings = list_size (int_range 0 40) (pair prefix small_int) in
+            let edits =
+              list_size (int_range 0 12)
+                (oneof
+                   [ map2 (fun q v -> `Add (q, v)) prefix small_int;
+                     map (fun i -> `Remove_nth i) small_nat;
+                     map (fun q -> `Remove q) prefix
+                   ])
+            in
+            triple bindings edits bindings)))
     (fun (init, edits, unrelated) ->
       let a = T.of_list init in
       let b =
