@@ -423,12 +423,7 @@ let state_of_string src = { toks = Array.of_list (L.lex src); pos = 0 }
 
 let parse src = parse_config (state_of_string src)
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 let parse_filter ~name src =
   let st = state_of_string (Printf.sprintf "filter %s { %s }" name src) in

@@ -487,9 +487,4 @@ let parse src =
   | None, _ -> fail st "missing 'router_id'"
   | _, None -> fail st "missing 'local_as'"
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)

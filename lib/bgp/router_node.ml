@@ -14,10 +14,6 @@ type t = {
   peer_nodes : (Ipv4.t, Net.node_id) Hashtbl.t;  (* neighbor addr -> node *)
   node_peers : (Net.node_id, Ipv4.t) Hashtbl.t;
   timer_gen : (Ipv4.t * Fsm.timer, int) Hashtbl.t;
-  mutable observers : (Router.output -> unit) list;
-  mutable update_observers : (peer:Ipv4.t -> Msg.update -> unit) list;
-  mutable established : int;
-  auto_restart : bool;
 }
 
 let node_id t = t.id
@@ -39,9 +35,7 @@ let bump t key = Hashtbl.replace t.timer_gen key (gen_of t key + 1)
 
 let rec execute t outputs = List.iter (execute_one t) outputs
 
-and execute_one t output =
-  List.iter (fun f -> f output) t.observers;
-  match output with
+and execute_one t = function
   | Router.To_peer (addr, msg) -> begin
     match Hashtbl.find_opt t.peer_nodes addr with
     | Some dst when Net.connected t.net t.id dst ->
@@ -71,15 +65,14 @@ and execute_one t output =
         if gen_of t key = my_gen then
           execute t (Router.handle_event t.router ~peer:addr (Fsm.Timer_expired timer)))
   | Router.Clear_timer (addr, timer) -> bump t (addr, timer)
-  | Router.Session_up _ -> t.established <- t.established + 1
+  | Router.Session_up _ -> ()
   | Router.Session_down (addr, _) ->
     (* real daemons re-enter the FSM after an idle-hold delay; without
        this, any session reset (e.g. a collision notification) would be
        permanent in the simulation *)
-    if t.auto_restart then
-      Net.schedule t.net ~delay:5.0 (fun () ->
-          if Router.peer_state t.router addr = Some Fsm.Idle then
-            execute t (Router.handle_event t.router ~peer:addr Fsm.Manual_start))
+    Net.schedule t.net ~delay:5.0 (fun () ->
+        if Router.peer_state t.router addr = Some Fsm.Idle then
+          execute t (Router.handle_event t.router ~peer:addr Fsm.Manual_start))
 
 let handle_frame t ~from bytes =
   match Hashtbl.find_opt t.node_peers from with
@@ -98,19 +91,12 @@ let handle_frame t ~from bytes =
         execute t (Router.handle_event t.router ~peer:addr Fsm.Tcp_connected)
       else if tag = tag_fin then
         execute t (Router.handle_event t.router ~peer:addr Fsm.Tcp_failed)
-      else if tag = tag_bgp then begin
-        if t.update_observers <> [] then begin
-          match Msg.decode payload with
-          | Ok (Msg.Update u) ->
-            List.iter (fun f -> f ~peer:addr u) t.update_observers
-          | Ok (Msg.Open _ | Msg.Keepalive | Msg.Notification _) | Error _ -> ()
-        end;
+      else if tag = tag_bgp then
         execute t (Router.handle_bytes t.router ~peer:addr payload)
-      end
       else ()
     end
 
-let attach ?(auto_restart = true) net ~name router =
+let attach net ~name router =
   let t =
     {
       net;
@@ -119,10 +105,6 @@ let attach ?(auto_restart = true) net ~name router =
       peer_nodes = Hashtbl.create 8;
       node_peers = Hashtbl.create 8;
       timer_gen = Hashtbl.create 16;
-      observers = [];
-      update_observers = [];
-      established = 0;
-      auto_restart;
     }
   in
   let handler _net ~self:_ ~from bytes = handle_frame t ~from bytes in
@@ -135,10 +117,4 @@ let bind_peer t ~neighbor ~node =
 
 let start t = execute t (Router.start t.router)
 
-let on_output t f = t.observers <- t.observers @ [ f ]
-
-let on_update t f = t.update_observers <- t.update_observers @ [ f ]
-
 let frame_bgp msg = frame tag_bgp (Msg.encode msg)
-
-let sessions_established t = t.established

@@ -7,10 +7,10 @@ open Dice_inet
 
 type t
 
-val attach : ?auto_restart:bool -> Dice_sim.Network.t -> name:string -> Router.t -> t
-(** Create the node; peers must then be bound with {!bind_peer}.
-    [auto_restart] (default [true]) re-enters the FSM 5 s after any
-    session goes down, as real daemons do after an idle-hold delay. *)
+val attach : Dice_sim.Network.t -> name:string -> Router.t -> t
+(** Create the node; peers must then be bound with {!bind_peer}. The
+    node re-enters the FSM 5 s after any session goes down, as real
+    daemons do after an idle-hold delay. *)
 
 val node_id : t -> Dice_sim.Network.node_id
 val router : t -> Router.t
@@ -22,17 +22,6 @@ val bind_peer : t -> neighbor:Ipv4.t -> node:Dice_sim.Network.node_id -> unit
 
 val start : t -> unit
 (** ManualStart all sessions (schedules connection attempts). *)
-
-val on_output : t -> (Router.output -> unit) -> unit
-(** Observe every router output (tests and checkers); called in addition
-    to normal execution. *)
-
-val on_update : t -> (peer:Ipv4.t -> Msg.update -> unit) -> unit
-(** Observe every received UPDATE before the router processes it — the
-    tap an online tester (DiCE) uses to collect exploration seeds. *)
-
-val sessions_established : t -> int
-(** Session_up events seen so far. *)
 
 val frame_bgp : Msg.t -> bytes
 (** Encode a BGP message with the simulated-transport framing this

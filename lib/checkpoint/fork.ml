@@ -1,14 +1,6 @@
 type manager = Store.t
 
-let create ?page_size ?store () =
-  match store with
-  | Some st ->
-    (match page_size with
-    | Some ps when ps <> Store.page_size st ->
-      invalid_arg "Fork.create: page_size conflicts with the shared store's"
-    | Some _ | None -> ());
-    st
-  | None -> Store.create ?page_size ()
+let create ?page_size () = Store.create ?page_size ()
 
 let store m = m
 

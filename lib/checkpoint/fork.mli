@@ -11,13 +11,9 @@
 
 type manager
 
-val create : ?page_size:int -> ?store:Store.t -> unit -> manager
-(** [store] backs this manager with an existing (possibly shared)
-    {!Store.t} instead of a private one — a fleet hands every domain's
-    manager the same store, so checkpoint pages dedup {e across}
-    domains and their explorer clones, not just within one manager.
-    @raise Invalid_argument if [page_size] is also given and disagrees
-    with the shared store's. *)
+val create : ?page_size:int -> unit -> manager
+(** A manager over a private {!Store.t} of [page_size]-byte pages
+    (default {!Store.create}'s). *)
 
 val store : manager -> Store.t
 

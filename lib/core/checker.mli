@@ -4,14 +4,11 @@
     {2 Constructor convention}
 
     Every checker constructor in [lib/core] has one shape. A checker
-    with nothing to configure is a plain value ({!Hijack.checker},
-    {!Checks.next_hop_sanity}); one with parameters is a function of
-    {e required labelled} arguments — no optional arguments, no trailing
-    [unit]. Defaults are exported as values next to the constructor
-    ({!Checks.default_bogons}, {!Checks.default_max_path_length},
-    {!Checks.default_max_prefix_len}), so "the default" is spelled out
-    at the call site instead of hidden behind a [?]. [Checks.standard]
-    bundles the hygiene set with those defaults applied. *)
+    with nothing to configure is a plain value ({!Hijack.checker}); one
+    with parameters is a function of {e required labelled} arguments
+    ({!Distributed.checker}, {!Panel.checker}) — no optional arguments,
+    no trailing [unit], so every setting is spelled out at the call
+    site instead of hidden behind a [?]. *)
 
 open Dice_inet
 open Dice_bgp

@@ -325,9 +325,11 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 
 module Recovery = struct
+  (* a journal this long is folded into a fresh snapshot *)
+  let journal_cap = 64
+
   type harness = {
     agent : agent;
-    journal_cap : int;
     lock : Mutex.t;
     mutable image : bytes;  (* last snapshot of the live speaker *)
     mutable rev_journal : (Ipv4.t * Msg.t) list;  (* updates since, newest first *)
@@ -345,13 +347,10 @@ module Recovery = struct
         (Printf.sprintf "Distributed.Recovery.%s: %s is not a Local agent" what
            agent.name)
 
-  let attach ?(journal_cap = 64) agent =
-    if journal_cap < 1 then
-      invalid_arg "Distributed.Recovery.attach: journal_cap must be >= 1";
+  let attach agent =
     let sp = live_of agent "attach" in
     {
       agent;
-      journal_cap;
       lock = Mutex.create ();
       image = Speaker.snapshot sp;
       rev_journal = [];
@@ -369,7 +368,7 @@ module Recovery = struct
     let sp = live_of t.agent "feed" in
     let outs = Speaker.feed sp ~peer msg in
     Mutex.protect t.lock (fun () ->
-        if t.journal_len + 1 >= t.journal_cap then begin
+        if t.journal_len + 1 >= journal_cap then begin
           t.image <- Speaker.snapshot sp;
           t.snapshots <- t.snapshots + 1;
           t.rev_journal <- [];

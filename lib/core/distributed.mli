@@ -179,9 +179,9 @@ val stats : agent -> stats
     {!Dice_sim.Faults.node} schedule) kills a serving node mid-hunt.
     A {!harness} attached to a [Local] agent keeps what recovery needs:
     the last {!Speaker.snapshot} of the live speaker plus a bounded
-    journal of the updates fed since. When the journal reaches its cap
-    it is folded into a fresh snapshot, so recovery always replays at
-    most [journal_cap] updates and is always {e exact} — snapshot +
+    journal of the updates fed since. When the journal reaches 64
+    updates it is folded into a fresh snapshot, so recovery always
+    replays fewer than 64 updates and is always {e exact} — snapshot +
     journal is byte-equivalent state to the speaker that crashed.
 
     {!crash_restart} (typically wired as the node's
@@ -194,10 +194,9 @@ val stats : agent -> stats
 module Recovery : sig
   type harness
 
-  val attach : ?journal_cap:int -> agent -> harness
+  val attach : agent -> harness
   (** Snapshot the agent's live speaker and start journaling.
-      [journal_cap] (default 64) bounds the replay.
-      @raise Invalid_argument on a [Remote] agent or [journal_cap < 1]. *)
+      @raise Invalid_argument on a [Remote] agent. *)
 
   val feed : harness -> peer:Ipv4.t -> Msg.t -> (Ipv4.t * Msg.t) list
   (** Feed the live speaker {e through the harness}: the update is

@@ -13,17 +13,14 @@ let state_to_string = function
 
 let pp_state ppf s = Format.pp_print_string ppf (state_to_string s)
 
-type config = {
-  suspect_after : float;
-  down_after : float;
-  history : int;
-}
-
-let default_config = { suspect_after = 0.5; down_after = 2.0; history = 32 }
+(* heartbeat-gap seconds before [Alive] demotes to [Suspect], and before
+   any state demotes to [Down]; state transitions retained *)
+let suspect_after = 0.5
+let down_after = 2.0
+let history = 32
 
 type t = {
   name : string;
-  cfg : config;
   lock : Mutex.t;
   mutable state : state;
   mutable last_seen : float;  (* last heartbeat or successful probe *)
@@ -36,15 +33,9 @@ type t = {
   mutable transition_count : int;
 }
 
-let create ?(config = default_config) ?(now = 0.0) ~name () =
-  if config.suspect_after <= 0.0 then
-    invalid_arg "Health.create: suspect_after must be positive";
-  if config.down_after < config.suspect_after then
-    invalid_arg "Health.create: down_after below suspect_after";
-  if config.history < 1 then invalid_arg "Health.create: history must be >= 1";
+let create ?(now = 0.0) ~name () =
   {
     name;
-    cfg = config;
     lock = Mutex.create ();
     state = Alive;
     last_seen = now;
@@ -58,7 +49,6 @@ let create ?(config = default_config) ?(now = 0.0) ~name () =
   }
 
 let name t = t.name
-let config t = t.cfg
 
 let locked t f = Mutex.protect t.lock f
 
@@ -71,7 +61,7 @@ let transition t ~now s =
   if t.state <> s then begin
     t.state <- s;
     t.transition_count <- t.transition_count + 1;
-    t.transitions <- take t.cfg.history ((now, s) :: t.transitions)
+    t.transitions <- take history ((now, s) :: t.transitions)
   end
 
 let note_heartbeat t ~now ~incarnation ~state_version =
@@ -104,8 +94,8 @@ let check t ~now =
   let gap = now -. t.last_seen in
   (* gaps only demote — promotion back to [Alive] takes fresh evidence
      (a heartbeat or a successful probe), never silence *)
-  if gap > t.cfg.down_after then transition t ~now Down
-  else if gap > t.cfg.suspect_after && t.state = Alive then transition t ~now Suspect;
+  if gap > down_after then transition t ~now Down
+  else if gap > suspect_after && t.state = Alive then transition t ~now Suspect;
   t.state
 
 let state t = locked t @@ fun () -> t.state

@@ -22,26 +22,15 @@ type state = Alive | Suspect | Down
 val state_to_string : state -> string
 val pp_state : Format.formatter -> state -> unit
 
-type config = {
-  suspect_after : float;
-      (** heartbeat-gap seconds before [Alive] demotes to [Suspect] *)
-  down_after : float;  (** gap seconds before any state demotes to [Down] *)
-  history : int;  (** state transitions retained (newest kept) *)
-}
-
-val default_config : config
-(** 0.5 s to [Suspect], 2 s to [Down], 32 transitions of history. *)
-
 type t
 
-val create : ?config:config -> ?now:float -> name:string -> unit -> t
+val create : ?now:float -> name:string -> unit -> t
 (** A fresh monitor, [Alive] as of [now] (default 0 — the virtual
-    clock's origin).
-    @raise Invalid_argument if [suspect_after] is non-positive,
-    [down_after < suspect_after], or [history < 1]. *)
+    clock's origin). A heartbeat gap over 0.5 s demotes it to
+    [Suspect], one over 2 s to [Down], and it retains the newest 32
+    state transitions. *)
 
 val name : t -> string
-val config : t -> config
 
 val note_heartbeat : t -> now:float -> incarnation:int -> state_version:int -> unit
 (** A heartbeat arrived: refresh [last_seen], record the peer's
@@ -62,8 +51,8 @@ val note_down : t -> now:float -> unit
 
 val check : t -> now:float -> state
 (** Apply the heartbeat-gap rule at [now] and return the (possibly
-    demoted) state: a gap beyond [down_after] is [Down], beyond
-    [suspect_after] demotes [Alive] to [Suspect]. Never promotes. *)
+    demoted) state: a gap beyond 2 s is [Down], beyond 0.5 s demotes
+    [Alive] to [Suspect]. Never promotes. *)
 
 val state : t -> state
 (** Current state, without re-evaluating gaps. *)
@@ -80,8 +69,8 @@ val state_version : t -> int
     heartbeat. *)
 
 val transitions : t -> (float * state) list
-(** State-transition history, oldest first, bounded by
-    [config.history]. Includes the initial [(now, Alive)]. *)
+(** State-transition history, oldest first, at most the newest 32.
+    Includes the initial [(now, Alive)] until it is pushed out. *)
 
 type stats = {
   heartbeats : int;

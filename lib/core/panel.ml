@@ -385,16 +385,9 @@ module Artifact = struct
     { speakers; source; setup; schedule; signature; absent }
 
   let save path t =
-    let oc = open_out_bin path in
-    output_bytes oc (encode t);
-    close_out oc
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc (encode t))
 
-  let load path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let bytes = really_input_string ic len in
-    close_in ic;
-    decode (Bytes.of_string bytes)
+  let load path = decode (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))
 
   let build ?speakers t =
     (* default to the members that actually voted: rebuilding the

@@ -1,7 +1,6 @@
 open Dice_inet
 open Dice_bgp
 open Dice_core
-module Net = Dice_sim.Network
 module Store = Dice_checkpoint.Store
 module Pool = Dice_exec.Pool
 module Trace_gen = Dice_trace.Gen
@@ -26,7 +25,6 @@ type t = {
   routes : (Ipv4.t, int * Ipv4.t) Hashtbl.t;
   store : Store.t;
   mutable snaps : Store.snapshot list;
-  remote_agents : (string * Distributed.agent) list;  (* empty without rpc *)
 }
 
 let spec t = t.spec
@@ -42,14 +40,7 @@ let speaker t name = (member t name).speaker
 let agent t name = (member t name).agent
 let agents t = Array.to_list t.members |> List.map (fun m -> m.agent)
 
-let remote_agent t name = List.assoc_opt name t.remote_agents
-
-let remote_agents t = t.remote_agents
-
-let heartbeat_horizon = 3600.0
-
-let realize ?(rpc = false) ?store:st (spec : Spec.t) =
-  let store = match st with Some s -> s | None -> Store.create () in
+let realize (spec : Spec.t) =
   let members =
     Array.of_list
       (List.mapi
@@ -82,34 +73,7 @@ let realize ?(rpc = false) ?store:st (spec : Spec.t) =
           Hashtbl.replace routes n.my_addr (m.index, n.peer_addr))
         m.neighbors)
     members;
-  let remote_agents =
-    if not rpc then []
-    else begin
-      let net = Net.create () in
-      let client = Probe_rpc.client net ~name:"explorer" in
-      Array.to_list members
-      |> List.map (fun m ->
-             let server = Distributed.serve net m.agent in
-             Net.connect net (Probe_rpc.client_node client)
-               (Probe_rpc.server_node server) ~latency:0.001;
-             let ep =
-               Probe_rpc.endpoint client ~server:(Probe_rpc.server_node server)
-             in
-             Probe_rpc.start_heartbeats ~until:heartbeat_horizon server
-               ~to_:(Probe_rpc.client_node client) ~period:0.5
-               ~incarnation:(fun () -> 0)
-               ~state_version:(fun () -> Speaker.updates_processed m.speaker)
-               ()
-             |> ignore;
-             let remote =
-               Distributed.agent ~name:(m.domain.name ^ "_rpc")
-                 ~addr:(Spec.router_id spec m.domain.name)
-                 ~explorer_addr:m.feed_peer (Distributed.Remote ep)
-             in
-             (m.domain.name, remote))
-    end
-  in
-  { spec; members; by_name; routes; store; snaps = []; remote_agents }
+  { spec; members; by_name; routes; store = Store.create (); snaps = [] }
 
 let establish t =
   Array.iter

@@ -28,13 +28,11 @@ open Dice_core
 
 type t
 
-val realize : ?rpc:bool -> ?store:Dice_checkpoint.Store.t -> Topology.Spec.t -> t
-(** Build every speaker and agent. [store] (default: a fresh one) backs
-    the whole fleet's checkpoint pages — pass a shared store to dedup
-    across fleets too. [rpc] (default [false]) additionally puts every
-    member behind a {!Probe_rpc} server on one simulated network, wired
-    to an exploring client with heartbeats every 0.5 virtual seconds —
-    the cross-network probing fabric of the paper's §2.4.
+val realize : Topology.Spec.t -> t
+(** Build every speaker and [Local] agent, and a fresh page store that
+    backs the whole fleet's checkpoint pages. Putting the agents on the
+    wire is the caller's job: wrap {!agents} behind {!Probe_rpc}
+    servers, as [dice detect-leaks --transport remote] does.
     @raise Invalid_argument if a domain's speaker or configuration is
     rejected by its implementation. *)
 
@@ -56,14 +54,6 @@ val agent : t -> string -> Distributed.agent
 
 val agents : t -> Distributed.agent list
 (** Every member's agent, in domain order. *)
-
-(** {1 RPC fabric} (when realized with [~rpc:true]) *)
-
-val remote_agent : t -> string -> Distributed.agent option
-(** A [Remote] agent reaching the domain's server over the wire — the
-    same speaker as {!agent}, probed through {!Probe_wire} frames. *)
-
-val remote_agents : t -> (string * Distributed.agent) list
 
 (** {1 Driving} *)
 

@@ -4,8 +4,6 @@ module Spec = Topology.Spec
 
 let base_asn = 3000
 
-let default_speakers = Dice_core.Speakers.names
-
 let auto_tier1 n = min 8 (max 1 (n / 4))
 
 (* Preferential attachment over the already-placed domains, as in
@@ -30,22 +28,15 @@ let roulette rng deg upto =
    with Exit -> ());
   !hit
 
-let generate ?(speakers = default_speakers) ?n_tier1 ~seed ~domains () =
+let generate ~seed ~domains () =
   if domains < 1 then invalid_arg "Gen.generate: domains must be positive";
   if domains > Spec.max_domains then
     invalid_arg
       (Printf.sprintf "Gen.generate: at most %d domains" Spec.max_domains);
-  if speakers = [] then invalid_arg "Gen.generate: empty speaker list";
   let rng = Rng.create seed in
   let n = domains in
-  let t1 =
-    match n_tier1 with
-    | Some k ->
-      if k < 1 then invalid_arg "Gen.generate: n_tier1 must be positive";
-      min k n
-    | None -> auto_tier1 n
-  in
-  let speaker_arr = Array.of_list speakers in
+  let t1 = auto_tier1 n in
+  let speaker_arr = Array.of_list Dice_core.Speakers.names in
   let name i = Printf.sprintf "d%d" i in
   let prefix_of i octet1 =
     Prefix.make (Ipv4.of_octets octet1 (64 + (i / 256)) (i mod 256) 0) 24

@@ -13,26 +13,16 @@
 
     Domains are named [d0..dN-1] with ASNs [3000+i], originate one
     (sometimes two) /24s from the 100/101.x test ranges, and draw their
-    speaker implementation from [speakers] — heterogeneous by
-    default. *)
+    speaker implementation from the whole {!Dice_core.Speakers.names}
+    registry — heterogeneous by construction. *)
 
 val base_asn : int
 (** 3000. *)
 
-val default_speakers : string list
-(** The full {!Dice_core.Speakers.names} registry. *)
-
 val auto_tier1 : int -> int
-(** The default tier-1 clique size for an [n]-domain fleet:
+(** The tier-1 clique size for an [n]-domain fleet:
     [min 8 (max 1 (n / 4))]. *)
 
-val generate :
-  ?speakers:string list ->
-  ?n_tier1:int ->
-  seed:int64 ->
-  domains:int ->
-  unit ->
-  Topology.Spec.t
-(** @raise Invalid_argument on a non-positive domain count, a count
-    beyond {!Topology.Spec.max_domains}, an empty speaker list, or a
-    non-positive [n_tier1]. *)
+val generate : seed:int64 -> domains:int -> unit -> Topology.Spec.t
+(** @raise Invalid_argument on a non-positive domain count or a count
+    beyond {!Topology.Spec.max_domains}. *)

@@ -143,11 +143,24 @@ type t = {
 }
 
 let build filtering =
-  let sim = Topology.Sim.realize (spec filtering) in
-  { net = Topology.Sim.net sim;
-    customer = Topology.Sim.node sim "customer";
-    provider = Topology.Sim.node sim "provider";
-    internet = Topology.Sim.node sim "internet" }
+  let spec = spec filtering in
+  let net = Net.create () in
+  let nodes =
+    List.map
+      (fun (d : Topology.Spec.domain) ->
+        (d.name, Router_node.attach net ~name:d.name (Router.create (Option.get d.config))))
+      spec.domains
+  in
+  let node = Fun.flip List.assoc nodes in
+  List.iter
+    (fun (l : Topology.Spec.link) ->
+      let aa, ba = Topology.Spec.link_addrs spec l in
+      let na = node l.a and nb = node l.b in
+      Net.connect net (Router_node.node_id na) (Router_node.node_id nb) ~latency:l.latency;
+      Router_node.bind_peer na ~neighbor:ba ~node:(Router_node.node_id nb);
+      Router_node.bind_peer nb ~neighbor:aa ~node:(Router_node.node_id na))
+    spec.links;
+  { net; customer = node "customer"; provider = node "provider"; internet = node "internet" }
 
 let start t =
   Router_node.start t.customer;

@@ -46,8 +46,8 @@ val provider_config : filtering -> Config_types.t
 val spec : filtering -> Topology.Spec.t
 (** The topology as a 3-domain {!Topology.Spec}: the hand-written
     configurations above attached as programmatic overrides, the
-    historical addressing as link address overrides. [build] is
-    [Topology.Sim.realize] over it — the one construction path. *)
+    historical addressing as link address overrides. [build] wires its
+    routers from it — the one construction path. *)
 
 type t = {
   net : Dice_sim.Network.t;
@@ -57,8 +57,9 @@ type t = {
 }
 
 val build : filtering -> t
-(** Create the three simulated routers, link and bind them. Sessions are
-    not yet started. *)
+(** Create the three simulated routers from {!spec}'s configurations in
+    its domain order, then connect and bind them in its link order, at
+    its addresses and latencies. Sessions are not yet started. *)
 
 val start : t -> unit
 (** Start all sessions and run the simulation until they establish.

@@ -1,6 +1,5 @@
 open Dice_inet
 open Dice_bgp
-module Net = Dice_sim.Network
 
 module Spec = struct
   type role =
@@ -403,70 +402,7 @@ module Spec = struct
     try make ~domains:(List.rev !domains) ~links:(List.rev !links) ()
     with Invalid_argument m -> raise (Parse_error m)
 
-  let parse_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> parse (really_input_string ic (in_channel_length ic)))
+  let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
   let equal a b = to_string a = to_string b
-end
-
-module Sim = struct
-  type t = { spec : Spec.t; net : Net.t; nodes : (string * Router_node.t) list }
-
-  let realize (spec : Spec.t) =
-    let net = Net.create () in
-    let nodes =
-      List.map
-        (fun (d : Spec.domain) ->
-          let cfg =
-            match d.config with
-            | Some c -> c
-            | None -> Intent.compile ~unstated:Intent.Deny (Spec.intent_of spec d.name)
-          in
-          (d.name, Router_node.attach net ~name:d.name (Router.create cfg)))
-        spec.domains
-    in
-    let node_of name = List.assoc name nodes in
-    List.iter
-      (fun (l : Spec.link) ->
-        let aa, ba = Spec.link_addrs spec l in
-        let na = node_of l.a and nb = node_of l.b in
-        Net.connect net (Router_node.node_id na) (Router_node.node_id nb)
-          ~latency:l.latency;
-        Router_node.bind_peer na ~neighbor:ba ~node:(Router_node.node_id nb);
-        Router_node.bind_peer nb ~neighbor:aa ~node:(Router_node.node_id na))
-      spec.links;
-    { spec; net; nodes }
-
-  let net t = t.net
-  let spec t = t.spec
-
-  let node t name =
-    match List.assoc_opt name t.nodes with
-    | Some n -> n
-    | None -> invalid_arg (Printf.sprintf "Sim.node: unknown domain %s" name)
-
-  let start t =
-    List.iter (fun (_, n) -> Router_node.start n) t.nodes;
-    let expected =
-      List.map
-        (fun (name, n) -> (n, List.length (Spec.neighbors t.spec name)))
-        t.nodes
-    in
-    let established () =
-      List.for_all (fun (n, want) -> Router_node.sessions_established n >= want) expected
-    in
-    let deadline = Net.now t.net +. 60.0 in
-    let rec drive () =
-      if established () then ()
-      else if Net.now t.net >= deadline then
-        failwith "Topology.Sim.start: sessions did not establish"
-      else begin
-        ignore (Net.run ~until:(Net.now t.net +. 1.0) ~max_events:100_000 t.net);
-        drive ()
-      end
-    in
-    drive ()
 end

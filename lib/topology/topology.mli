@@ -6,9 +6,9 @@
     it runs. Realizations consume it: {!Spec.intent_of} emits each
     domain's dialect-neutral {!Dice_bgp.Intent.t} (valley-free export
     policies included, so any registered speaker implementation can
-    realize its domain), {!Sim} builds a simulated-network testbed of
-    BIRD-style routers from it, and {!Fleet} instantiates N DiCE-enabled
-    speakers over it for fleet-scale online testing.
+    realize its domain), {!Threerouter} wires the paper's Figure 2
+    testbed from one, and {!Fleet} instantiates N DiCE-enabled speakers
+    over it for fleet-scale online testing.
 
     Specs also have a concrete text format ([gen-topology -o FILE] /
     [detect-leaks --topology FILE]): {!Spec.parse} and {!Spec.to_string}
@@ -180,26 +180,4 @@ module Spec : sig
 
   val equal : t -> t -> bool
   (** Canonical-text equality (ignores programmatic overrides). *)
-end
-
-(** The simulated-testbed realization: every domain as a BIRD-style
-    {!Dice_bgp.Router_node} on one {!Dice_sim.Network}, links bound
-    with their latencies. Domains without a [config] override run
-    {!Spec.intent_of} through the reference compiler. *)
-module Sim : sig
-  type t
-
-  val realize : Spec.t -> t
-  (** Build and wire the routers. Sessions are not yet started. *)
-
-  val net : t -> Dice_sim.Network.t
-  val spec : t -> Spec.t
-
-  val node : t -> string -> Router_node.t
-  (** @raise Invalid_argument on an unknown domain. *)
-
-  val start : t -> unit
-  (** Start every router and run the simulation until each domain has
-      established one session per incident link.
-      @raise Failure if they do not establish within simulated 60 s. *)
 end

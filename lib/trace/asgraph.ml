@@ -12,9 +12,9 @@ type t = {
 let idx_of_asn asn = asn - base_asn
 let asn_of_idx i = base_asn + i
 
-let generate ~rng ~n_ases ?n_tier1 () =
+let generate ~rng ~n_ases () =
   if n_ases < 1 then invalid_arg "Asgraph.generate: need at least one AS";
-  let n_tier1 = min n_ases (Option.value n_tier1 ~default:(min 8 n_ases)) in
+  let n_tier1 = min 8 n_ases in
   let provider_lists = Array.make n_ases [] in
   let degrees = Array.make n_ases 0 in
   (* tier-1 clique *)

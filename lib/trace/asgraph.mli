@@ -7,8 +7,8 @@
 
 type t
 
-val generate : rng:Dice_util.Rng.t -> n_ases:int -> ?n_tier1:int -> unit -> t
-(** [n_tier1] defaults to [min 8 n_ases]. AS numbers are dense from
+val generate : rng:Dice_util.Rng.t -> n_ases:int -> unit -> t
+(** The tier-1 clique has [min 8 n_ases] members. AS numbers are dense from
     [base_asn] (64600) upward so they never collide with the testbed's
     own AS numbers. *)
 

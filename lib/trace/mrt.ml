@@ -66,6 +66,17 @@ let write (t : Gen.t) =
     t.events;
   Wbuf.contents w
 
+(* A count must fit the bytes left at the smallest encoding of its
+   items — 8 bytes per dump entry (prefix, path length, origin, MED
+   flag), 14 per event (type, time, withdrawn prefix) — so a corrupt
+   count fails here instead of sizing an allocation. *)
+let count r ~what ~min_size =
+  let n = Rbuf.u32 ~what r in
+  if n > Rbuf.remaining r / min_size then
+    invalid_arg
+      (Printf.sprintf "Mrt.read: %s %d exceeds the %d bytes left" what n (Rbuf.remaining r));
+  n
+
 let read bytes =
   try
     let r = Rbuf.of_bytes bytes in
@@ -73,9 +84,9 @@ let read bytes =
     if m <> magic then invalid_arg "Mrt.read: bad magic";
     let collector_as = Rbuf.u32 ~what:"collector" r in
     let duration = decode_time r in
-    let n_dump = Rbuf.u32 ~what:"dump count" r in
+    let n_dump = count r ~what:"dump count" ~min_size:8 in
     let dump = Array.init n_dump (fun _ -> decode_entry r) in
-    let n_events = Rbuf.u32 ~what:"event count" r in
+    let n_events = count r ~what:"event count" ~min_size:14 in
     let events =
       Array.init n_events (fun _ ->
           match Rbuf.u8 ~what:"event type" r with
@@ -87,19 +98,12 @@ let read bytes =
             Gen.Withdraw { time; prefix = decode_prefix r }
           | c -> invalid_arg (Printf.sprintf "Mrt.read: bad event type %d" c))
     in
+    if not (Rbuf.eof r) then
+      invalid_arg (Printf.sprintf "Mrt.read: trailing bytes at %d" (Rbuf.pos r));
     { Gen.collector_as; dump; events; duration }
   with Rbuf.Truncated what -> invalid_arg ("Mrt.read: truncated at " ^ what)
 
 let save path t =
-  let oc = open_out_bin path in
-  let b = write t in
-  output_bytes oc b;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc (write t))
 
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  close_in ic;
-  read b
+let load path = read (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))

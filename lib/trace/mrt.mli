@@ -7,7 +7,10 @@ val write : Gen.t -> bytes
 (** Serialize a trace. *)
 
 val read : bytes -> Gen.t
-(** @raise Invalid_argument on a corrupt image. *)
+(** @raise Invalid_argument on a corrupt image: bad magic, a field cut
+    short, a dump or event count larger than the bytes left can hold
+    (checked before anything is allocated for it), or bytes after the
+    last event. *)
 
 val save : string -> Gen.t -> unit
 (** Write to a file. *)

@@ -1,106 +1,15 @@
-(* Tests for the continuous-testing daemon, config-change validation, and
-   the additional checkers. *)
+(* Tests for config-change validation: a proposed config is explored
+   against a live provider's observed announcements and judged safe,
+   ineffective or harmful, without touching the live router. *)
 open Dice_inet
 open Dice_bgp
 open Dice_core
 module Threerouter = Dice_topology.Threerouter
-module Net = Dice_sim.Network
 
 (* Figure-2 addressing, resolved through the topology spec *)
 let tr_f2_spec = Threerouter.spec Threerouter.Correct
 let tr_customer_addr = Dice_topology.Topology.Spec.address tr_f2_spec ~of_:"customer" ~toward:"provider"
 let tr_internet_addr = Dice_topology.Topology.Spec.address tr_f2_spec ~of_:"internet" ~toward:"provider"
-
-
-let p = Prefix.of_string
-
-(* ---- Checks ---- *)
-
-let cctx =
-  { Checker.pre_loc_rib = Rib.Loc.empty;
-    anycast = [];
-    peer = Ipv4.of_string "10.0.1.2";
-    peer_as = 64501;
-  }
-
-let outcome ?(accepted = true) ?(path = [ 64501 ]) ?(next_hop = "10.0.1.2") prefix =
-  let route =
-    Route.make ~origin:Attr.Igp
-      ~as_path:[ Asn.Path.Seq path ]
-      ~next_hop:(Ipv4.of_string next_hop) ()
-  in
-  { Speaker.prefix = p prefix;
-    accepted;
-    installed = accepted;
-    route = (if accepted then Some route else None);
-    previous_best = None;
-    outputs = [];
-  }
-
-let test_bogon_fires () =
-  let c = Checks.bogon ~bogons:Checks.default_bogons in
-  List.iter
-    (fun prefix ->
-      Alcotest.(check int) (prefix ^ " flagged") 1
-        (List.length (c.Checker.check cctx (outcome prefix))))
-    [ "10.1.0.0/16"; "127.0.0.0/8"; "224.1.0.0/16"; "192.168.5.0/24"; "169.254.0.0/16" ]
-
-let test_bogon_clean_for_public () =
-  let c = Checks.bogon ~bogons:Checks.default_bogons in
-  List.iter
-    (fun prefix ->
-      Alcotest.(check int) (prefix ^ " clean") 0
-        (List.length (c.Checker.check cctx (outcome prefix))))
-    [ "8.8.8.0/24"; "203.0.113.0/24"; "198.51.100.0/22" ]
-
-let test_bogon_overlap_counts () =
-  (* a covering announcement that contains bogon space is also flagged *)
-  let c = Checks.bogon ~bogons:Checks.default_bogons in
-  Alcotest.(check int) "/7 containing 10/8" 1
-    (List.length (c.Checker.check cctx (outcome "10.0.0.0/7")))
-
-let test_bogon_rejected_outcome_ignored () =
-  let c = Checks.bogon ~bogons:Checks.default_bogons in
-  Alcotest.(check int) "rejected is fine" 0
-    (List.length (c.Checker.check cctx (outcome ~accepted:false "10.0.0.0/8")))
-
-let test_path_sanity () =
-  let c = Checks.path_sanity ~max_length:Checks.default_max_path_length in
-  Alcotest.(check int) "AS0" 1
-    (List.length (c.Checker.check cctx (outcome ~path:[ 64501; 0 ] "8.8.8.0/24")));
-  Alcotest.(check int) "AS_TRANS" 1
-    (List.length (c.Checker.check cctx (outcome ~path:[ 64501; 23456 ] "8.8.8.0/24")));
-  let long_path = List.init 40 (fun i -> 64501 + i) in
-  Alcotest.(check int) "absurd length" 1
-    (List.length (c.Checker.check cctx (outcome ~path:long_path "8.8.8.0/24")));
-  Alcotest.(check int) "normal path clean" 0
-    (List.length (c.Checker.check cctx (outcome ~path:[ 64501; 64502 ] "8.8.8.0/24")))
-
-let test_path_sanity_custom_bound () =
-  let c = Checks.path_sanity ~max_length:2 in
-  Alcotest.(check int) "3 hops over a bound of 2" 1
-    (List.length (c.Checker.check cctx (outcome ~path:[ 1; 2; 3 ] "8.8.8.0/24")))
-
-let test_prefix_length () =
-  let c = Checks.prefix_length ~max_len:Checks.default_max_prefix_len in
-  Alcotest.(check int) "/25 flagged" 1
-    (List.length (c.Checker.check cctx (outcome "8.8.8.0/25")));
-  Alcotest.(check int) "/24 fine" 0
-    (List.length (c.Checker.check cctx (outcome "8.8.8.0/24")))
-
-let test_next_hop_sanity () =
-  let c = Checks.next_hop_sanity in
-  Alcotest.(check int) "self-referential" 1
-    (List.length (c.Checker.check cctx (outcome ~next_hop:"8.8.8.1" "8.8.8.0/24")));
-  Alcotest.(check int) "loopback next hop" 1
-    (List.length (c.Checker.check cctx (outcome ~next_hop:"127.0.0.1" "8.8.8.0/24")));
-  Alcotest.(check int) "sane next hop" 0
-    (List.length (c.Checker.check cctx (outcome ~next_hop:"10.0.1.2" "8.8.8.0/24")))
-
-let test_standard_set () =
-  Alcotest.(check int) "five checkers" 5 (List.length Checks.standard)
-
-(* ---- Validate ---- *)
 
 let establish router peer remote_as =
   ignore (Router.handle_event router ~peer Fsm.Manual_start);
@@ -215,133 +124,10 @@ let test_validate_peer_change_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of a peer-set change"
 
-(* ---- Daemon ---- *)
-
-let daemon_testbed () =
-  let topo = Threerouter.build Threerouter.Partially_correct in
-  Threerouter.start topo;
-  let trace =
-    Dice_trace.Gen.generate
-      { Dice_trace.Gen.default_params with Dice_trace.Gen.n_prefixes = 1_500; duration = 30.0 }
-  in
-  ignore (Threerouter.load_table topo trace);
-  topo
-
-let daemon_cfg =
-  { Daemon.default_cfg with
-    Daemon.explore_every = 30.0;
-    seed_sample = 1;
-    observe_peers = Some [ tr_customer_addr ];
-    orchestrator =
-      { Orchestrator.default_cfg with
-        Orchestrator.exploration =
-          { Orchestrator.default_exploration with
-            Orchestrator.explorer =
-              { Dice_concolic.Explorer.default_config with
-                Dice_concolic.Explorer.max_runs = 256;
-                max_depth = 96;
-              };
-          };
-      };
-  }
-
-let customer_announces topo prefix =
-  (* inject a customer announcement into the simulation as real traffic *)
-  let route =
-    Route.make ~origin:Attr.Igp
-      ~as_path:[ Asn.Path.Seq [ Threerouter.customer_as ] ]
-      ~next_hop:tr_customer_addr ()
-  in
-  let msg =
-    Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ p prefix ] }
-  in
-  Net.send topo.Threerouter.net
-    ~src:(Router_node.node_id topo.Threerouter.customer)
-    ~dst:(Router_node.node_id topo.Threerouter.provider)
-    (Router_node.frame_bgp msg)
-
-let test_daemon_detects_automatically () =
-  let topo = daemon_testbed () in
-  let daemon = Daemon.attach ~cfg:daemon_cfg topo.Threerouter.provider in
-  let notified = ref 0 in
-  Daemon.on_fault daemon (fun _ -> incr notified);
-  (* routine customer traffic flows; the daemon taps it *)
-  customer_announces topo "203.0.113.0/24";
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 100.0) topo.Threerouter.net);
-  Alcotest.(check bool) "observed seeds" true (Daemon.observed daemon > 0);
-  Alcotest.(check bool) "episodes ran" true (Daemon.explorations daemon >= 1);
-  Alcotest.(check bool) "faults found without operator action" true
-    (List.length (Daemon.faults daemon) > 0);
-  Alcotest.(check int) "operator notified once per distinct fault"
-    (List.length (Daemon.faults daemon))
-    !notified
-
-let test_daemon_zero_seed_sample_observes_everything () =
-  (* seed_sample <= 0 used to hit Division_by_zero on the live message
-     path (announcement_counter mod 0); attach now clamps it to 1 *)
-  let topo = daemon_testbed () in
-  let daemon =
-    Daemon.attach ~cfg:{ daemon_cfg with Daemon.seed_sample = 0 } topo.Threerouter.provider
-  in
-  customer_announces topo "203.0.113.0/24";
-  customer_announces topo "203.0.113.128/25";
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 10.0) topo.Threerouter.net);
-  Alcotest.(check int) "every announcement observed" 2 (Daemon.observed daemon);
-  let topo2 = daemon_testbed () in
-  let daemon2 =
-    Daemon.attach ~cfg:{ daemon_cfg with Daemon.seed_sample = -3 } topo2.Threerouter.provider
-  in
-  customer_announces topo2 "203.0.113.0/24";
-  ignore (Net.run ~until:(Net.now topo2.Threerouter.net +. 10.0) topo2.Threerouter.net);
-  Alcotest.(check int) "negative sample clamped too" 1 (Daemon.observed daemon2)
-
-let test_daemon_no_seeds_no_episode () =
-  let topo = daemon_testbed () in
-  let daemon = Daemon.attach ~cfg:daemon_cfg topo.Threerouter.provider in
-  (* nothing observed on the customer session -> no exploration *)
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 100.0) topo.Threerouter.net);
-  Alcotest.(check int) "no episodes" 0 (Daemon.explorations daemon)
-
-let test_daemon_stop () =
-  let topo = daemon_testbed () in
-  let daemon = Daemon.attach ~cfg:daemon_cfg topo.Threerouter.provider in
-  customer_announces topo "203.0.113.0/24";
-  Daemon.stop daemon;
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 100.0) topo.Threerouter.net);
-  Alcotest.(check int) "stopped before any episode" 0 (Daemon.explorations daemon)
-
-let test_daemon_live_router_untouched () =
-  let topo = daemon_testbed () in
-  let provider = Threerouter.provider_router topo in
-  let daemon = Daemon.attach ~cfg:daemon_cfg topo.Threerouter.provider in
-  customer_announces topo "203.0.113.0/24";
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 65.0) topo.Threerouter.net);
-  Alcotest.(check bool) "episodes ran" true (Daemon.explorations daemon >= 1);
-  (* the provider still works: another customer announcement installs *)
-  customer_announces topo "203.0.113.128/25";
-  ignore (Net.run ~until:(Net.now topo.Threerouter.net +. 5.0) topo.Threerouter.net);
-  Alcotest.(check bool) "live keeps routing" true
-    (Router.best_route provider (p "203.0.113.128/25") <> None)
-
 let suite =
-  [ ("bogon fires", `Quick, test_bogon_fires);
-    ("bogon clean for public space", `Quick, test_bogon_clean_for_public);
-    ("bogon overlap counts", `Quick, test_bogon_overlap_counts);
-    ("bogon ignores rejected", `Quick, test_bogon_rejected_outcome_ignored);
-    ("path sanity", `Quick, test_path_sanity);
-    ("path sanity custom bound", `Quick, test_path_sanity_custom_bound);
-    ("prefix length", `Quick, test_prefix_length);
-    ("next hop sanity", `Quick, test_next_hop_sanity);
-    ("standard set", `Quick, test_standard_set);
-    ("validate: good fix is safe", `Slow, test_validate_good_fix_safe);
+  [ ("validate: good fix is safe", `Slow, test_validate_good_fix_safe);
     ("validate: no-op is ineffective", `Slow, test_validate_noop_ineffective);
     ("validate: over-blocking is harmful", `Slow, test_validate_overblocking_harmful);
     ("validate: live untouched", `Slow, test_validate_live_untouched);
-    ("validate: peer change rejected", `Quick, test_validate_peer_change_rejected);
-    ("daemon detects automatically", `Slow, test_daemon_detects_automatically);
-    ("daemon: no seeds, no episode", `Quick, test_daemon_no_seeds_no_episode);
-    ("daemon: zero/negative seed_sample observes everything", `Quick,
-      test_daemon_zero_seed_sample_observes_everything);
-    ("daemon stop", `Quick, test_daemon_stop);
-    ("daemon: live router untouched", `Slow, test_daemon_live_router_untouched)
+    ("validate: peer change rejected", `Quick, test_validate_peer_change_rejected)
   ]

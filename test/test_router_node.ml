@@ -76,26 +76,6 @@ let test_route_withdrawn_after_session_loss () =
   Alcotest.(check bool) "B flushed the route" true
     (Router.best_route (Router_node.router b) (p "198.51.100.0/24") = None)
 
-let test_on_output_observer () =
-  let net, a, b = pair () in
-  let outputs = ref 0 in
-  Router_node.on_output a (fun _ -> incr outputs);
-  Router_node.start a;
-  Router_node.start b;
-  ignore (Net.run ~until:20.0 net);
-  Alcotest.(check bool) "observed outputs" true (!outputs > 0)
-
-let test_on_update_observer () =
-  let net, a, b = pair () in
-  let seen = ref [] in
-  Router_node.on_update b (fun ~peer:_ u ->
-      seen := List.map Prefix.to_string u.Msg.nlri @ !seen);
-  Router_node.start a;
-  Router_node.start b;
-  ignore (Net.run ~until:20.0 net);
-  Alcotest.(check bool) "tapped the static announcement" true
-    (List.mem "198.51.100.0/24" !seen)
-
 let test_frame_bgp_roundtrip () =
   let framed = Router_node.frame_bgp Msg.Keepalive in
   Alcotest.(check int) "tag byte" 0x03 (Char.code (Bytes.get framed 0));
@@ -134,8 +114,6 @@ let suite =
   [ ("keepalives beat hold timer", `Quick, test_keepalives_beat_hold_timer);
     ("hold expires when peer dies", `Quick, test_hold_expires_when_peer_dies);
     ("route withdrawn after session loss", `Quick, test_route_withdrawn_after_session_loss);
-    ("on_output observer", `Quick, test_on_output_observer);
-    ("on_update observer", `Quick, test_on_update_observer);
     ("frame_bgp roundtrip", `Quick, test_frame_bgp_roundtrip);
     ("garbage frame ignored", `Quick, test_garbage_frame_ignored);
     ("malformed payload resets session", `Quick, test_malformed_bgp_payload_resets_session)

@@ -144,9 +144,22 @@ let test_mrt_corrupt_rejected () =
   let t = Gen.generate { small_params with Gen.n_prefixes = 5 } in
   let b = Mrt.write t in
   let truncated = Bytes.sub b 0 (Bytes.length b - 3) in
-  match Mrt.read truncated with
+  (match Mrt.read truncated with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected truncation error"
+  | _ -> Alcotest.fail "expected truncation error");
+  (match Mrt.read (Bytes.cat b (Bytes.make 1 '\000')) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected trailing-byte rejection");
+  (* a dump count of 0x00FFFFFF (bytes 20-23, after magic, collector and
+     duration) must fail before anything is sized by it *)
+  let b = Mrt.write (Gen.generate { small_params with Gen.n_prefixes = 20 }) in
+  Bytes.set_int32_be b 20 0x00FFFFFFl;
+  let before = Gc.allocated_bytes () in
+  (match Mrt.read b with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected oversized-count rejection");
+  Alcotest.(check bool) "rejected without a count-sized allocation" true
+    (Gc.allocated_bytes () -. before < 1e6)
 
 let test_mrt_file_io () =
   let t = Gen.generate { small_params with Gen.n_prefixes = 20 } in
