@@ -68,12 +68,12 @@ let to_route t =
   let as_path =
     let current = Asn.Path.origin_as t.as_path in
     let chosen = Cval.to_int t.origin_as in
-    if current = Some chosen then t.as_path
-    else if current = None && chosen = 0 then
-      (* an empty path round-trips: 0 is [of_route]'s encoding of "no
-         origin AS", not a solver-picked origin to graft on *)
-      t.as_path
-    else set_origin_as t.as_path chosen
+    (* 0 is [of_route]'s encoding of "no origin AS", not an origin to
+       graft on: an empty path round-trips, and so does one a filter
+       prepended to since. Only the explorer (a symbolic [origin_as])
+       may pick 0 for a path that has an origin. *)
+    let no_origin = chosen = 0 && (current = None || not (Cval.is_symbolic t.origin_as)) in
+    if current = Some chosen || no_origin then t.as_path else set_origin_as t.as_path chosen
   in
   let route =
     Route.make ~origin

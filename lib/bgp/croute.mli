@@ -33,7 +33,10 @@ val of_route : Prefix.t -> Route.t -> t
 
 val to_route : t -> Prefix.t * Route.t
 (** Concretize. If [origin_as] differs from the AS_PATH's last AS, the
-    path's final AS is rewritten accordingly (symbolized origin). *)
+    path's final AS is rewritten accordingly (symbolized origin) — except
+    for a concrete 0, {!of_route}'s encoding of "no origin AS", which
+    leaves the path as it is, also after {!prepend_as} gave an empty path
+    an origin. *)
 
 val prefix_of : t -> Prefix.t
 (** The concrete prefix the concolic NLRI currently denotes. *)

@@ -542,9 +542,12 @@ let snapshot t =
   List.iter (fun (idx, p) -> Option.iter (fill_slot region (room + (idx * slot_size))) p) writes;
   Bytes.cat region (encode_tail l.spilled)
 
-(* The same bookkeeping over only the entries [t] changed since [base]'s
-   image: the RIB diffs skip every subtree the clone still shares, so the
-   cost is the write set. Reads [base] and [t] only. *)
+(* The same bookkeeping over only the entries that differ between [base]
+   and [t]: the RIB diffs skip every subtree the two still share, so
+   between clones of one router the cost is the write set. The diffs hold
+   for any two routers of one configuration; sharing only makes them
+   fast. [t] keeps the layout its image now has, so [t] can be the next
+   base; [base] is only read. *)
 let snapshot_patch ~base t =
   let changes = ref [] in
   let note key p = changes := (key, p) :: !changes in
@@ -565,6 +568,7 @@ let snapshot_patch ~base t =
       adj (fun prefix -> Slot_adj_out (addr, prefix)) bp.adj_out tp.adj_out)
     (Hashtbl.to_seq base.peers);
   let l, writes = place base.layout !changes in
+  t.layout <- l;
   let header = encode_header t l in
   let room = header_room header in
   let slots =

@@ -86,14 +86,17 @@ val snapshot : t -> bytes
     checkpoint a live router without touching it, snapshot a {!clone}. *)
 
 val snapshot_patch : base:t -> t -> int * (int * bytes) list
-(** [snapshot_patch ~base t], for [t] a {!clone} of [base] taken after
-    [base]'s last {!snapshot} (or {!restore}), with [base] unchanged
-    since: the length of [snapshot t] and byte ranges [(offset, bytes)]
-    that turn [snapshot base] into it. The RIB diffs skip every subtree
-    [t] still shares with [base], and the changed entries go through the
-    slot bookkeeping {!snapshot} uses, so the patch costs what [t] wrote:
-    its entries' slots, the header, and the overflow region when that
-    moved or changed. Reads both routers and writes neither. *)
+(** [snapshot_patch ~base t], for [base] unchanged since its last image
+    (its last {!snapshot}, {!restore} or [snapshot_patch] as [t]) and [t]
+    a router of the same configuration: the length of [t]'s image and
+    byte ranges [(offset, bytes)] that turn [base]'s image into it. The
+    RIB diffs hold for any two such routers and skip every subtree [t]
+    still shares with [base], and the changed entries go through the
+    slot bookkeeping {!snapshot} uses, so between clones of one router
+    the patch costs what [t] wrote: its entries' slots, the header, and
+    the overflow region when that moved or changed. [t]'s image keeps
+    [base]'s slot positions; [t] records its new slot map (and nothing
+    else), so [t] can serve as the next [base]. [base] is only read. *)
 
 val restore : Config_types.t -> bytes -> t
 (** Rebuild a router from a snapshot taken of a router with the same

@@ -18,7 +18,6 @@ type t = {
 
 let node_id t = t.id
 let router t = t.router
-let network t = t.net
 
 let frame tag payload =
   let b = Bytes.create (1 + Bytes.length payload) in

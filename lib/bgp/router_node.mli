@@ -14,7 +14,6 @@ val attach : Dice_sim.Network.t -> name:string -> Router.t -> t
 
 val node_id : t -> Dice_sim.Network.node_id
 val router : t -> Router.t
-val network : t -> Dice_sim.Network.t
 
 val bind_peer : t -> neighbor:Ipv4.t -> node:Dice_sim.Network.node_id -> unit
 (** Associate a configured neighbor address with the simulated node that

@@ -23,6 +23,7 @@ let checkpoint_stats cp ~live_image =
   (unique, frac)
 
 let drop_checkpoint cp = Store.release cp.snap
+let image cp = cp.image
 
 type clone_stats = {
   pages : int;
@@ -31,31 +32,50 @@ type clone_stats = {
   extra_fraction : float;
 }
 
-(* The clone's image is the checkpoint's, cut or zero-extended to [len],
-   with [writes] laid over it in order and [metadata] appended. A page no
-   write touches that the checkpoint holds whole keeps the checkpoint's
-   id, as fork() leaves a clean page shared; a page one write covers is
-   hashed where it lies; any other page is rebuilt, then hashed. *)
-let footprint cp ~patch:(len, writes) ~metadata =
+(* The page ids of [cp]'s image cut or zero-extended to [len], with
+   [writes] laid over it: a page no write touches that [cp] holds whole
+   keeps [cp]'s id, as fork() leaves a clean page shared; [touched]
+   hashes every other page, given its offset, its length and the writes
+   over it (latest first). *)
+let patched_ids cp ~len writes ~touched =
   let ps = Store.page_size cp.st in
-  let base = cp.image in
-  let blen = Bytes.length base in
-  let total = len + Bytes.length metadata in
-  let n = Page.count ~page_size:ps total in
+  let blen = Bytes.length cp.image in
+  let n = Page.count ~page_size:ps len in
   let touching = Array.make n [] in
   List.iter
     (fun ((off, b) as w) ->
-      let stop = min total (off + Bytes.length b) in
+      let stop = min len (off + Bytes.length b) in
       if stop > off then
         for p = off / ps to (stop - 1) / ps do
           touching.(p) <- w :: touching.(p)
         done)
-    (writes @ [ (len, metadata) ]);
-  let page_id p =
-    let off = p * ps in
-    let plen = min ps (total - off) in
-    match touching.(p) with
-    | [] when off < blen && plen = min ps (blen - off) -> cp.ids.(p)
+    writes;
+  Array.init n (fun p ->
+      let off = p * ps in
+      let plen = min ps (len - off) in
+      match touching.(p) with
+      | [] when off < blen && plen = min ps (blen - off) -> cp.ids.(p)
+      | ws -> touched off plen ws)
+
+let checkpoint_patch cp ~patch:(len, writes) =
+  let image = Bytes.make len '\000' in
+  Bytes.blit cp.image 0 image 0 (min len (Bytes.length cp.image));
+  List.iter
+    (fun (off, b) ->
+      let n = min (Bytes.length b) (len - off) in
+      if n > 0 then Bytes.blit b 0 image off n)
+    writes;
+  let ids = patched_ids cp ~len writes ~touched:(fun off plen _ -> Page.id_of image off plen) in
+  { st = cp.st; snap = Store.capture_pages cp.st ids; image; ids }
+
+(* The clone's image is the checkpoint's patched with [writes], and
+   [metadata] appended. A page one write covers is hashed where it lies;
+   any other touched page is rebuilt, then hashed. *)
+let footprint cp ~patch:(len, writes) ~metadata =
+  let base = cp.image in
+  let blen = Bytes.length base in
+  let total = len + Bytes.length metadata in
+  let touched off plen = function
     | [ (woff, b) ] when woff <= off && off + plen <= woff + Bytes.length b ->
       Page.id_of b (off - woff) plen
     | ws ->
@@ -68,7 +88,10 @@ let footprint cp ~patch:(len, writes) ~metadata =
         (List.rev ws);
       Page.id_of buf 0 plen
   in
-  let final = Store.capture_pages cp.st (Array.init n page_id) in
+  let final =
+    Store.capture_pages cp.st
+      (patched_ids cp ~len:total (writes @ [ (len, metadata) ]) ~touched)
+  in
   let pages = Store.snapshot_pages final in
   let unique = Store.unique_pages final ~relative_to:cp.snap in
   let unique_fraction = Store.unique_fraction final ~relative_to:cp.snap in

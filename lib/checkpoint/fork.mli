@@ -2,12 +2,17 @@
 
     Mirrors how the DiCE prototype measures its [fork()]-based
     checkpoints: [checkpoint] captures the pages of the checkpointed
-    process image, {!checkpoint_stats} counts how far the live image has
-    drifted from them, and {!footprint} counts the pages an explorer
-    clone's final image does not share with them — its copy-on-write
-    cost, computed from the byte ranges the clone wrote. The copies
-    themselves are in-memory speaker clones; this module only counts
-    their pages. *)
+    process image, {!checkpoint_patch} carries a checkpoint forward to
+    the live node's next one from the byte ranges the live node wrote in
+    between, {!checkpoint_stats} counts how far the live image has
+    drifted from a checkpoint, and {!footprint} counts the pages an
+    explorer clone's final image does not share with it — its
+    copy-on-write cost, computed from the byte ranges the clone wrote.
+    {!checkpoint_patch} and {!footprint} follow one page rule: a page no
+    write touches that the checkpoint holds whole keeps its page id, the
+    way fork() leaves a page nobody wrote shared, so only touched pages
+    are hashed. The copies themselves are in-memory speaker clones; this
+    module only counts their pages. *)
 
 type manager
 
@@ -21,7 +26,21 @@ type checkpoint
 
 val checkpoint : manager -> live_image:bytes -> checkpoint
 (** Capture the pages of the checkpointed process image. The checkpoint
-    keeps [live_image] (do not write to it): {!footprint} patches it. *)
+    keeps [live_image] (do not write to it): {!footprint} and
+    {!checkpoint_patch} patch it. *)
+
+val checkpoint_patch : checkpoint -> patch:int * (int * bytes) list -> checkpoint
+(** [checkpoint_patch cp ~patch:(len, writes)] is the next checkpoint in
+    [cp]'s store: its image is [cp]'s, cut or zero-extended to [len], with
+    each [(offset, bytes)] of [writes] laid over it in order — a
+    speaker's [snapshot_patch] of the next checkpoint against [cp]'s.
+    Pages no write touches that [cp] holds whole keep [cp]'s page ids;
+    only touched pages are hashed, so the cost is the write set and one
+    copy of the image, not a page-by-page hash of it. [cp] stays valid:
+    release it with {!drop_checkpoint} once nothing counts against it. *)
+
+val image : checkpoint -> bytes
+(** The checkpointed image (do not write to it). *)
 
 val checkpoint_stats : checkpoint -> live_image:bytes -> int * float
 (** [(unique, fraction)]: pages of the checkpoint not shared with the

@@ -63,7 +63,35 @@ type t = {
   cfg : cfg;
   mutable rev_seeds : seed list;
   mutable seed_counter : int;
+  checkpoint : unit -> float * Speaker.instance * Fork.checkpoint;
+      (* the next checkpoint: seconds spent cloning, the clone, its pages *)
 }
+
+(* The checkpoint chain. Each checkpoint is a clone of the live speaker;
+   its image is the last checkpoint's, patched with what the live speaker
+   wrote in between (the two clones' [snapshot_patch]), and its pages keep
+   the last checkpoint's ids wherever nothing was written
+   ([Fork.checkpoint_patch]) — a forked checkpoint costs the pages the
+   live node dirtied since the last one, not its table. The chain is
+   seeded on first use with another clone of the live speaker and its
+   whole image, so the first checkpoint's image is that snapshot byte for
+   byte. Only the clone runs on the live node's critical path. *)
+let checkpoints (Speaker.Inst ((module M), real, live)) =
+  let last =
+    ref
+      (lazy
+        (let seed = M.clone live in
+         (seed, Fork.checkpoint (Fork.create ()) ~live_image:(M.snapshot seed))))
+  in
+  fun () ->
+    let t0 = Unix.gettimeofday () in
+    let base = M.clone live in
+    let seconds = Unix.gettimeofday () -. t0 in
+    let prev, prev_pages = Lazy.force !last in
+    let pages = Fork.checkpoint_patch prev_pages ~patch:(M.snapshot_patch ~base:prev base) in
+    Fork.drop_checkpoint prev_pages;
+    last := Lazy.from_val (base, pages);
+    (seconds, Speaker.Inst ((module M), real, base), pages)
 
 let create ?(cfg = default_cfg) live =
   (* Cooperating remote agents become one more checker: every exploration
@@ -79,7 +107,7 @@ let create ?(cfg = default_cfg) live =
           @ [ Distributed.checker ~jobs:cfg.federation.probe_jobs ~agents ];
       }
   in
-  { live; cfg; rev_seeds = []; seed_counter = 0 }
+  { live; cfg; rev_seeds = []; seed_counter = 0; checkpoint = checkpoints live }
 
 let observe t ~peer ~prefix ~route =
   let tag = Printf.sprintf "seed%d" t.seed_counter in
@@ -269,15 +297,9 @@ let take n l =
 let explore t =
   let ex = t.cfg.exploration in
   let t0 = Unix.gettimeofday () in
-  (* only this runs on the live node's critical path: cloning the live
-     speaker — the in-process equivalent of fork()'s page-table copy; the
-     speaker decides how cheap it can make it *)
-  let base = Speaker.clone t.live in
-  let checkpoint_seconds = Unix.gettimeofday () -. t0 in
+  let checkpoint_seconds, base, checkpoint = t.checkpoint () in
   (* from here on the explorer does the work, on the checkpoint alone *)
   let pre_loc = Speaker.loc_rib base in
-  let live_image = Speaker.snapshot base in
-  let checkpoint = Fork.checkpoint (Fork.create ()) ~live_image in
   let seeds = take ex.max_seeds t.rev_seeds in
   t.rev_seeds <- [];
   (* Seed explorations are independent — each explores on its own clones of
@@ -295,13 +317,13 @@ let explore t =
   let all_faults =
     dedup_faults (List.concat_map (fun (r : seed_report) -> r.faults) seed_reports)
   in
+  let image_bytes = Bytes.length (Fork.image checkpoint) in
   {
     seed_reports;
     faults = all_faults;
     checkpoint_pages =
-      Dice_checkpoint.Page.count ~page_size:Dice_checkpoint.Page.default_size
-        (Bytes.length live_image);
-    live_image_bytes = Bytes.length live_image;
+      Dice_checkpoint.Page.count ~page_size:Dice_checkpoint.Page.default_size image_bytes;
+    live_image_bytes = image_bytes;
     wall_seconds = Unix.gettimeofday () -. t0;
     checkpoint_seconds;
   }

@@ -17,12 +17,16 @@
     on its critical path. The checkpoint is never mutated either: the
     first run of each seed, and every run after an accepted one, executes
     on a fresh {!Speaker.clone} of it, so every run starts from the
-    checkpointed state. The checkpoint's serialized pages
-    ({!Speaker.snapshot} of the checkpoint, taken off the critical path)
-    serve only the memory accounting ([checkpoint_pages] and the
-    clone-footprint samples). A sampled clone's pages come from its
-    {!Speaker.S.snapshot_patch} against the checkpoint, never from
-    serializing the clone. *)
+    checkpointed state. The checkpoint's image and pages serve only the
+    memory accounting ([checkpoint_pages] and the clone-footprint
+    samples), and neither is serialized whole after the first episode:
+    each episode's image is the last episode's, patched with what the
+    live speaker wrote in between ({!Speaker.S.snapshot_patch} between
+    the two checkpoints, {!Dice_checkpoint.Fork.checkpoint_patch}), the
+    way a forked checkpoint costs the pages the live node dirtied, not
+    its table. The first episode's image is a whole {!Speaker.snapshot}
+    of its checkpoint. A sampled clone's pages come the same way, from
+    its {!Speaker.S.snapshot_patch} against the checkpoint. *)
 
 open Dice_inet
 open Dice_bgp
@@ -94,7 +98,9 @@ val default_cfg : cfg
 type t
 
 val create : ?cfg:cfg -> Speaker.instance -> t
-(** Attach DiCE to a live speaker. *)
+(** Attach DiCE to a live speaker. The orchestrator keeps its last
+    checkpoint (a clone of the live speaker, and its pages) from one
+    {!explore} to the next. *)
 
 val observe : t -> peer:Ipv4.t -> prefix:Prefix.t -> route:Route.t -> unit
 (** Record an observed input as an exploration seed. *)
@@ -127,12 +133,16 @@ type report = {
   faults : Checker.fault list;  (** deduplicated across seeds *)
   checkpoint_pages : int;
       (** {!Dice_checkpoint.Page.default_size} pages of the checkpoint's
-          snapshot *)
-  live_image_bytes : int;  (** bytes of the checkpoint's snapshot *)
+          image. From the second episode on, a slot-stable image (BIRD)
+          keeps every entry where the previous episodes' images put it,
+          freed slots included, so this depends on the live speaker's
+          history since {!create}, as a forked daemon's heap does. *)
+  live_image_bytes : int;  (** bytes of the checkpoint's image *)
   wall_seconds : float;
   checkpoint_seconds : float;
-      (** the live node's critical-path share of [wall_seconds]: taking
-          the checkpoint. Exploration itself runs off the critical path
+      (** the live node's critical-path share of [wall_seconds]: cloning
+          the live speaker, and nothing else — patching the image and
+          its pages runs off the critical path, like exploration itself
           (on the paper's testbed, on other cores). *)
 }
 

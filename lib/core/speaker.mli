@@ -30,9 +30,10 @@
       node. {!S.snapshot} serializes a speaker (the page image the
       memory accounting counts, and what crash recovery and validation
       rebuild from) and {!S.restore} rebuilds an equivalent speaker from
-      the bytes; {!S.snapshot_patch} gives an explorer clone's image as
-      the byte ranges where it differs from its checkpoint's, so the
-      clone's pages are counted without serializing it. The byte format
+      the bytes; {!S.snapshot_patch} gives a clone's image as the byte
+      ranges where it differs from an earlier clone's, so the
+      orchestrator's checkpoint and its explorer clones are paged
+      without serializing them. The byte format
       is the implementation's own; the core treats it as opaque;
     - {b report per-prefix verdicts}: {!S.loc_rib}, {!S.best_route} and
       {!S.learned_from} expose exactly the read-only views the probe
@@ -152,26 +153,31 @@ module type S = sig
   val snapshot : t -> bytes
   (** Serialize the speaker's dynamic state deterministically. Must not
       change what the speaker answers; it may update layout bookkeeping
-      (BIRD's slot map), which is why the orchestrator snapshots its
-      checkpoint, a {!clone} of the live speaker, rather than the live
-      speaker itself. *)
+      (BIRD's slot map), which is why the orchestrator images only
+      {!clone}s of the live speaker, never the live speaker itself. *)
 
   val snapshot_patch : base:t -> t -> int * (int * bytes) list
-  (** [snapshot_patch ~base t] is [snapshot t] as a patch on
-      [snapshot base]: its length, and byte ranges [(offset, bytes)]
-      which, written over [snapshot base] (cut or zero-extended to that
-      length), give [snapshot t] byte for byte. The ranges cover every
-      byte where the two differ, including every byte past the end of
-      [snapshot base]; they may also rewrite bytes that did not change.
-      Precondition: [t] is a {!clone} of [base] taken after [base]'s
-      last {!snapshot}, and [base] has not changed since. This is how
-      the orchestrator counts an explorer clone's pages the way fork()'s
-      copy-on-write does, from what the clone wrote: an implementation
-      with a slot-stable image (BIRD) answers from the entries the clone
-      changed, without serializing it; one whose image is linear, where
-      any change shifts every later byte, answers with one write of the
-      whole image, which costs a {!snapshot}. Like {!snapshot}, must not
-      change what either speaker answers. *)
+  (** [snapshot_patch ~base t] is [t]'s image as a patch on [base]'s
+      last image: its length, and byte ranges [(offset, bytes)] which,
+      written over [base]'s image (cut or zero-extended to that length),
+      give [snapshot t] — as taken after this call — byte for byte. The
+      ranges cover every byte where the two differ, including every byte
+      past the end of [base]'s image; they may also rewrite bytes that
+      did not change. An implementation with a slot-stable image (BIRD)
+      keeps every entry [t] shares with [base] where [base]'s image put
+      it, as fork() leaves a daemon's heap in place, and records the
+      resulting layout in [t], so [t] can be the [base] of the next
+      patch; it answers from the entries that differ, without
+      serializing [t]. One whose image is linear, where any change
+      shifts every later byte, answers with one write of the whole
+      image, which costs a {!snapshot}.
+      Precondition: [base] and [t] are {!clone}s of one live speaker,
+      [t] taken after [base], and [base] has not changed since its last
+      image (its last {!snapshot}, or the [snapshot_patch] that had it
+      as [t]). This is how the orchestrator carries its checkpoint's
+      image from one episode to the next, and counts an explorer clone's
+      pages the way fork()'s copy-on-write does, from what the clone
+      wrote. Must not change what either speaker answers. *)
 
   val restore : realization -> bytes -> t
   (** Rebuild a speaker from a snapshot taken of a speaker {e of the

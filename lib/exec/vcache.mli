@@ -4,9 +4,13 @@
     node's {e live state}, so a memoized answer is only valid while that
     state has not moved. Every entry therefore carries the version (e.g.
     {!Dice_bgp.Router.updates_processed}) of the state it was computed
-    against; a {!find} presenting a newer version misses, and the stale
-    entry is evicted. There is no explicit flush: advancing the version
-    {e is} the invalidation.
+    against; a {!find} presenting a newer version misses. There is no
+    explicit flush: advancing the version {e is} the invalidation.
+    Versions only move forward, so once a newer one is presented no
+    older entry can hit again: the cache keeps only the entries of the
+    newest version (and epoch) any {!find} or {!store} presented, and
+    drops the rest when that moves. Its size is therefore bounded by
+    one version's distinct keys, however long the node runs.
 
     Polymorphic in key and value; keys are compared structurally and
     hashed with [Hashtbl.hash], so callers should present canonicalized
@@ -23,13 +27,14 @@ val create : ?shards:int -> unit -> ('k, 'v) t
 
 val find : ('k, 'v) t -> version:int -> 'k -> 'v option
 (** [find t ~version key] returns the cached value stored for [key] at
-    exactly [version]. An entry from any other version counts as a miss
-    and is removed. Updates the hit/miss counters. *)
+    exactly [version] in the current epoch. An entry from any other
+    version counts as a miss. Updates the hit/miss counters. *)
 
 val store : ('k, 'v) t -> version:int -> 'k -> 'v -> unit
-(** Record a value computed against [version]. A stale entry for the same
-    key is replaced; at the same version the first writer wins (concurrent
-    writers compute equal values). *)
+(** Record a value computed against [version]. At the same version the
+    first writer wins (concurrent writers compute equal values); a value
+    computed against a version older than one already presented is not
+    kept, since no later {!find} can ask for it. *)
 
 val invalidate : ('k, 'v) t -> unit
 (** Open a new epoch: every entry stored before this call misses (and
@@ -37,8 +42,8 @@ val invalidate : ('k, 'v) t -> unit
     crash-recovery hatch — a speaker rebuilt from a checkpoint can
     present an [updates_processed] counter that {e collides} with a
     pre-crash value while holding different state, so version stamps
-    alone cannot be trusted across a restart. Entries are dropped
-    lazily, on their next lookup. *)
+    alone cannot be trusted across a restart. The old entries are
+    dropped by the next {!find} or {!store}. *)
 
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
@@ -47,4 +52,5 @@ val hit_rate : ('k, 'v) t -> float
 (** [hits / (hits + misses)]; [0.] before any query. *)
 
 val size : ('k, 'v) t -> int
-(** Entries currently resident (stale ones included until evicted). *)
+(** Entries currently resident: at most those stored under the newest
+    version and epoch presented. *)

@@ -5,7 +5,6 @@ let base_asn = 64600
 type t = {
   n : int;
   provider_lists : int list array;  (* index -> provider indices *)
-  degrees : int array;
   n_tier1 : int;
 }
 
@@ -53,7 +52,7 @@ let generate ~rng ~n_ases () =
       providers;
     degrees.(i) <- List.length providers
   done;
-  { n = n_ases; provider_lists; degrees; n_tier1 }
+  { n = n_ases; provider_lists; n_tier1 }
 
 let n_ases t = t.n
 
@@ -65,10 +64,6 @@ let check t asn =
   i
 
 let providers t asn = List.map asn_of_idx t.provider_lists.(check t asn)
-
-let degree t asn = t.degrees.(check t asn)
-
-let is_tier1 t asn = check t asn < t.n_tier1
 
 let random_as t ~rng =
   (* Zipf over creation order approximates degree bias (earlier ASes are

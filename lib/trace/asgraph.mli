@@ -20,11 +20,6 @@ val asns : t -> int array
 val providers : t -> int -> int list
 (** Provider ASNs of an AS (empty for tier-1s). *)
 
-val degree : t -> int -> int
-(** Number of customer+provider edges at an AS. *)
-
-val is_tier1 : t -> int -> bool
-
 val random_as : t -> rng:Dice_util.Rng.t -> int
 (** Degree-biased random AS (popular origins are picked more often). *)
 

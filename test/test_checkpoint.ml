@@ -174,6 +174,132 @@ let test_checkpoint_stats_divergence () =
   Alcotest.(check int) "unique pages" 2 unique;
   Alcotest.(check (float 1e-9)) "fraction" 0.2 fraction
 
+(* ---- checkpoint chains ---- *)
+
+(* a checkpoint carried forward through 200 patches that grow, cut and
+   rewrite its image: each equals the patched bytes, its page ids are its
+   image's, and dropping the last one leaves the store holding exactly
+   the current checkpoint's distinct pages *)
+let test_patch_chain_holds_one_snapshot () =
+  let mgr = Fork.create ~page_size:64 () in
+  let st = Fork.store mgr in
+  let rng = Random.State.make [| 25 |] in
+  (* repeated page contents, so pages are shared across positions *)
+  let chunk n = Bytes.init n (fun i -> Char.chr (97 + ((i / 64) + Random.State.int rng 2) mod 3)) in
+  let cp = ref (Fork.checkpoint mgr ~live_image:(chunk 1000)) in
+  for round = 1 to 200 do
+    let old = Fork.image !cp in
+    let len = max 0 (Bytes.length old + Random.State.int rng 300 - 150) in
+    let writes =
+      List.filter_map
+        (fun _ ->
+          let off = Random.State.int rng (len + 1) in
+          let n = min (len - off) (Random.State.int rng 200) in
+          if n > 0 then Some (off, chunk n) else None)
+        (List.init (Random.State.int rng 5) Fun.id)
+    in
+    let expected = Bytes.make len '\000' in
+    Bytes.blit old 0 expected 0 (min len (Bytes.length old));
+    List.iter (fun (off, b) -> Bytes.blit b 0 expected off (Bytes.length b)) writes;
+    let next = Fork.checkpoint_patch !cp ~patch:(len, writes) in
+    Fork.drop_checkpoint !cp;
+    cp := next;
+    let what = Printf.sprintf "round %d: " round in
+    Alcotest.(check bytes) (what ^ "the patched image") expected (Fork.image next);
+    Alcotest.(check (pair int (float 0.))) (what ^ "its pages are its image's") (0, 0.)
+      (Fork.checkpoint_stats next ~live_image:expected);
+    Alcotest.(check int) (what ^ "one live snapshot") 1 (Store.live_snapshots st);
+    let distinct = Hashtbl.create 64 in
+    List.iter
+      (fun (id : Page.id) -> Hashtbl.replace distinct id ())
+      (Page.split ~page_size:64 expected);
+    Alcotest.(check int) (what ^ "no orphaned pages") (Hashtbl.length distinct)
+      (Store.stored_pages st)
+  done;
+  Fork.drop_checkpoint !cp;
+  Alcotest.(check int) "nothing resident" 0 (Store.stored_pages st)
+
+module Speaker = Dice_core.Speaker
+module Rib = Dice_bgp.Rib
+
+let collector = Dice_inet.Ipv4.of_string "10.0.3.2"
+let provider = Dice_inet.Ipv4.of_string "10.0.2.1"
+
+let chain_config () =
+  Dice_bgp.Config_parser.parse
+    {|
+    router id 10.0.2.2;
+    local as 64700;
+    protocol bgp collector { neighbor 10.0.3.2 as 64701; import all; export all; }
+    protocol bgp provider { neighbor 10.0.2.1 as 64510; import all; export all; }
+    |}
+
+(* The orchestrator's checkpoint chain for one implementation, over 30
+   episodes with live updates between them: announcements (some with
+   80-AS paths, which spill past a BIRD slot), re-announcements that
+   change an entry in place, and withdrawals, on a live speaker whose
+   layout already has holes. Each chained image is a whole snapshot of a
+   clone carrying the chain's layout, restores to the live table of its
+   moment, and is paged by its own content; the first equals the plain
+   snapshot of a clone, as do all of a linear image's. *)
+let test_speaker_chain impl () =
+  let rng = Random.State.make [| 31 |] in
+  match Dice_core.Speakers.create_exn impl (Speaker.Config (chain_config ())) with
+  | Speaker.Inst ((module M), real, live) ->
+    M.establish live ~peer:collector;
+    M.establish live ~peer:provider;
+    let feed () =
+      let prefix =
+        Dice_inet.Prefix.of_string
+          (Printf.sprintf "100.%d.%d.0/24" (Random.State.int rng 4) (Random.State.int rng 16))
+      in
+      let msg =
+        if Random.State.int rng 4 = 0 then
+          Dice_bgp.Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] }
+        else
+          let hops = if Random.State.int rng 8 = 0 then 80 else 1 + Random.State.int rng 3 in
+          let route =
+            Dice_bgp.Route.make ~origin:Dice_bgp.Attr.Igp
+              ~as_path:
+                [ Dice_inet.Asn.Path.Seq (64701 :: List.init hops (fun i -> 65000 + i)) ]
+              ~next_hop:collector ()
+          in
+          Dice_bgp.Msg.Update
+            { withdrawn = []; attrs = Dice_bgp.Route.to_attrs route; nlri = [ prefix ] }
+      in
+      ignore (M.feed live ~peer:collector msg)
+    in
+    for _ = 1 to 40 do feed () done;
+    ignore (M.snapshot live);
+    for _ = 1 to 20 do feed () done;
+    let mgr = Fork.create () in
+    let seed = M.clone live in
+    let last = ref (seed, Fork.checkpoint mgr ~live_image:(M.snapshot seed)) in
+    for episode = 1 to 30 do
+      if episode > 1 then for _ = 1 to 1 + Random.State.int rng 6 do feed () done;
+      let plain = M.snapshot (M.clone live) in
+      let base = M.clone live in
+      let prev, prev_cp = !last in
+      let ((_, writes) as patch) = M.snapshot_patch ~base:prev base in
+      let cp = Fork.checkpoint_patch prev_cp ~patch in
+      Fork.drop_checkpoint prev_cp;
+      last := (base, cp);
+      let image = Fork.image cp in
+      let what = Printf.sprintf "%s episode %d: " impl episode in
+      Alcotest.(check bytes) (what ^ "a snapshot with the chain's layout")
+        (M.snapshot (M.clone base)) image;
+      if episode = 1 || impl <> "bird" then
+        Alcotest.(check bytes) (what ^ "the plain snapshot") plain image
+      else
+        Alcotest.(check bool) (what ^ "written: less than the image") true
+          (List.fold_left (fun n (_, b) -> n + Bytes.length b) 0 writes < Bytes.length image);
+      Alcotest.(check int) (what ^ "restores to the live table") 0
+        (List.length (Rib.Loc.diff (M.loc_rib (M.restore real image)) (M.loc_rib live)));
+      Alcotest.(check (pair int (float 0.))) (what ^ "paged by its content") (0, 0.)
+        (Fork.checkpoint_stats cp ~live_image:image);
+      Alcotest.(check int) (what ^ "one live snapshot") 1 (Store.live_snapshots (Fork.store mgr))
+    done
+
 let suite =
   [ ("page split sizes", `Quick, test_page_split_sizes);
     ("page split empty", `Quick, test_page_split_empty);
@@ -189,5 +315,9 @@ let suite =
     ("fork unchanged clone", `Quick, test_fork_unchanged_clone);
     ("fork grown clone", `Quick, test_fork_grown_clone);
     ("checkpoint stats divergence", `Quick, test_checkpoint_stats_divergence);
-    QCheck_alcotest.to_alcotest prop_patch_matches_whole
+    QCheck_alcotest.to_alcotest prop_patch_matches_whole;
+    ("patch chain holds one snapshot", `Quick, test_patch_chain_holds_one_snapshot)
   ]
+  @ List.map
+      (fun impl -> (impl ^ ": chained checkpoints are snapshots", `Quick, test_speaker_chain impl))
+      Dice_core.Speakers.names

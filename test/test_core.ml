@@ -467,6 +467,53 @@ let test_orchestrator_jobs_deterministic () =
                (pair (list (pair int bool)) (list (pair int int)))))))
     "jobs=2 seed reports equal jobs=1" seq par
 
+(* Each episode patches its checkpoint's image from the last one, which
+   serves only the page accounting: what an episode explores and finds
+   must be what a first episode on an orchestrator attached at that
+   moment explores and finds, whatever the live speaker processed in
+   between. *)
+let test_orchestrator_chained_episodes () =
+  let topo = testbed ~prefixes:200 Dice_topology.Threerouter.Partially_correct in
+  let live = Speakers.bird (Dice_topology.Threerouter.provider_router topo) in
+  let internet = Dice_topology.Topology.Spec.address tr_f2_spec ~of_:"internet" ~toward:"provider" in
+  let cfg = explore_cfg ~runs:48 () in
+  let summary (r : Orchestrator.report) =
+    ( List.map Checker.fault_key r.Orchestrator.faults,
+      List.map
+        (fun (sr : Orchestrator.seed_report) ->
+          ( (sr.Orchestrator.runs_accepted, sr.Orchestrator.runs_rejected),
+            ( sr.Orchestrator.explorer.Explorer.executions,
+              sr.Orchestrator.explorer.Explorer.solver_stats.Dice_concolic.Solver.calls ) ))
+        r.Orchestrator.seed_reports )
+  in
+  let episode dice =
+    observe_customer dice;
+    summary (Orchestrator.explore dice)
+  in
+  let chained = Orchestrator.create ~cfg live in
+  let announce prefix origin =
+    ignore
+      (Speaker.feed live ~peer:internet
+         (Msg.Update
+            { Msg.withdrawn = [];
+              attrs =
+                Route.to_attrs
+                  (Route.make ~origin:Attr.Igp
+                     ~as_path:[ Asn.Path.Seq [ Dice_topology.Threerouter.internet_as; origin ] ]
+                     ~next_hop:internet ());
+              nlri = [ p prefix ] }))
+  in
+  let first = episode chained in
+  Alcotest.(check bool) "the first episode equals a fresh one's" true
+    (first = episode (Orchestrator.create ~cfg live));
+  (* the live node moves on: a route inside the filter's leaky block *)
+  announce "198.0.0.0/11" 65123;
+  announce "100.64.0.0/24" 65124;
+  let second = episode chained in
+  Alcotest.(check bool) "the second episode equals a fresh one's" true
+    (second = episode (Orchestrator.create ~cfg live));
+  Alcotest.(check bool) "and sees the live node's new route" true (fst second <> fst first)
+
 let suite =
   [ ("symbolize defaults", `Quick, test_symbolize_defaults);
     ("symbolize seed constraints", `Quick, test_symbolize_seed_constraints);
@@ -496,5 +543,6 @@ let suite =
     ("exploration isolated", `Slow, test_orchestrator_isolation);
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);
     ("whole-message mode", `Slow, test_orchestrator_whole_message_mode);
-    ("orchestrator jobs=1 and jobs=2 agree", `Slow, test_orchestrator_jobs_deterministic)
+    ("orchestrator jobs=1 and jobs=2 agree", `Slow, test_orchestrator_jobs_deterministic);
+    ("chained episodes explore as fresh ones", `Slow, test_orchestrator_chained_episodes)
   ]

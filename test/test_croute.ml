@@ -50,6 +50,19 @@ let test_origin_as_rewrite_empty_path () =
   Alcotest.(check (option int)) "origin set on empty path" (Some 65000)
     (Route.origin_as route')
 
+let test_prepend_to_empty_path () =
+  (* a locally originated route's empty path, prepended by a filter: the
+     prepended AS becomes the origin, and 0 — of_route's "no origin" —
+     is not grafted over it *)
+  let bare = Route.make ~as_path:Asn.Path.empty ~next_hop:1 () in
+  let cr = Croute.prepend_as (Croute.of_route (p "10.0.0.0/8") bare) 3001 in
+  let _, route' = Croute.to_route cr in
+  Alcotest.(check (list int)) "the prepended path" [ 3001 ] (Asn.Path.as_list route'.Route.as_path);
+  let cr = Croute.prepend_as cr 3002 in
+  let _, route' = Croute.to_route cr in
+  Alcotest.(check (list int)) "prepended twice" [ 3002; 3001 ]
+    (Asn.Path.as_list route'.Route.as_path)
+
 let test_modifiers () =
   let cr = Croute.of_route (p "10.0.0.0/8") route in
   let cr = Croute.with_local_pref cr (Cval.of_int ~width:32 50) in
@@ -154,6 +167,7 @@ let suite =
     ("croute med/lp flags", `Quick, test_flags);
     ("croute origin rewrite", `Quick, test_origin_as_rewrite);
     ("croute origin rewrite empty path", `Quick, test_origin_as_rewrite_empty_path);
+    ("croute prepend to an empty path", `Quick, test_prepend_to_empty_path);
     ("croute modifiers", `Quick, test_modifiers);
     ("croute remove community", `Quick, test_remove_community);
     ("croute length clamped", `Quick, test_len_clamped);

@@ -96,6 +96,27 @@ let test_vcache_concurrent_store_find () =
     Alcotest.(check (option int)) "value intact" (Some (k * 2)) (Vcache.find v ~version:0 k)
   done
 
+let test_vcache_bounded_by_one_version () =
+  (* fleet probe keys almost never recur: a key looked up once and
+     never again must not outlive its version *)
+  let v : (int, int) Vcache.t = Vcache.create () in
+  let per_version = 5 in
+  for version = 1 to 1000 do
+    for i = 0 to per_version - 1 do
+      let key = (version * per_version) + i in
+      ignore (Vcache.find v ~version key);
+      Vcache.store v ~version key i
+    done
+  done;
+  Alcotest.(check int) "one version's entries" per_version (Vcache.size v);
+  Alcotest.(check int) "every probe missed" 5000 (Vcache.misses v);
+  Alcotest.(check (option int)) "the newest still hit" (Some 4)
+    (Vcache.find v ~version:1000 ((1000 * per_version) + 4));
+  (* a new epoch drops them too, once anything presents it *)
+  Vcache.invalidate v;
+  Alcotest.(check (option int)) "the epoch moved" None (Vcache.find v ~version:1000 5000);
+  Alcotest.(check int) "and the cache emptied" 0 (Vcache.size v)
+
 let suite =
   [ ("pool map preserves order", `Quick, test_pool_map_order);
     ("pool runs every worker", `Quick, test_pool_run_all_workers);
@@ -104,5 +125,6 @@ let suite =
     ("vcache hit + version invalidation", `Quick, test_vcache_hit_and_version_invalidation);
     ("vcache first writer wins per version", `Quick,
       test_vcache_first_writer_wins_same_version);
-    ("vcache concurrent store/find", `Quick, test_vcache_concurrent_store_find)
+    ("vcache concurrent store/find", `Quick, test_vcache_concurrent_store_find);
+    ("vcache bounded by one version", `Quick, test_vcache_bounded_by_one_version)
   ]

@@ -20,26 +20,27 @@ let test_graph_shape () =
   Alcotest.(check int) "asns dense" 100 (Array.length (Asgraph.asns g));
   Alcotest.(check int) "base" Asgraph.base_asn (Asgraph.asns g).(0)
 
+(* the tier-1 clique is the first [min 8 n_ases] ASes (creation order) *)
+let n_tier1 = 8
+
 let test_graph_tier1_no_providers () =
   let g = graph () in
-  Alcotest.(check bool) "tier1" true (Asgraph.is_tier1 g Asgraph.base_asn);
-  Alcotest.(check (list int)) "no providers" [] (Asgraph.providers g Asgraph.base_asn)
+  Array.iteri
+    (fun i asn ->
+      if i < n_tier1 then
+        Alcotest.(check (list int)) (Printf.sprintf "tier-1 AS%d has no provider" asn) []
+          (Asgraph.providers g asn))
+    (Asgraph.asns g)
 
 let test_graph_everyone_has_provider () =
   let g = graph () in
-  Array.iter
-    (fun asn ->
-      if not (Asgraph.is_tier1 g asn) then
+  Array.iteri
+    (fun i asn ->
+      if i >= n_tier1 then
         Alcotest.(check bool)
           (Printf.sprintf "AS%d has a provider" asn)
           true
           (Asgraph.providers g asn <> []))
-    (Asgraph.asns g)
-
-let test_graph_degree_positive () =
-  let g = graph () in
-  Array.iter
-    (fun asn -> Alcotest.(check bool) "degree > 0" true (Asgraph.degree g asn > 0))
     (Asgraph.asns g)
 
 let test_graph_unknown_as_rejected () =
@@ -226,7 +227,6 @@ let suite =
   [ ("graph shape", `Quick, test_graph_shape);
     ("tier1 has no providers", `Quick, test_graph_tier1_no_providers);
     ("everyone has a provider", `Quick, test_graph_everyone_has_provider);
-    ("degrees positive", `Quick, test_graph_degree_positive);
     ("unknown AS rejected", `Quick, test_graph_unknown_as_rejected);
     ("path shape", `Quick, test_path_shape);
     ("gen counts", `Quick, test_gen_counts);
