@@ -182,17 +182,26 @@ let start t =
   in
   drive ()
 
+(* As in the paper's Figure 2, only the customer originates its space:
+   the table keeps no route overlapping it. *)
+let clear_of_customer (e : Dice_trace.Gen.entry) =
+  let p = e.Dice_trace.Gen.prefix in
+  not (List.exists (fun q -> Prefix.subsumes q p || Prefix.subsumes p q) customer_prefixes)
+
 let load_table t trace =
+  let dump =
+    Array.of_list (List.filter clear_of_customer (Array.to_list trace.Dice_trace.Gen.dump))
+  in
   let scheduled =
     Dice_trace.Replay.schedule t.net
       ~from_node:(Router_node.node_id t.internet)
       ~to_node:(Router_node.node_id t.provider)
       ~start_at:(Net.now t.net) ~dump_pace:0.0005 ~next_hop:internet_addr
-      { trace with Dice_trace.Gen.events = [||] }
+      { trace with Dice_trace.Gen.dump; events = [||] }
   in
   ignore scheduled;
   let horizon =
-    Net.now t.net +. (0.0005 *. float_of_int (Array.length trace.Dice_trace.Gen.dump)) +. 5.0
+    Net.now t.net +. (0.0005 *. float_of_int (Array.length dump)) +. 5.0
   in
   ignore (Net.run ~until:horizon ~max_events:max_int t.net);
   Rib.Loc.cardinal (Router.loc_rib (Router_node.router t.provider))

@@ -68,6 +68,8 @@ val start : t -> unit
 val load_table : t -> Dice_trace.Gen.t -> int
 (** Replay a trace dump from the Internet node into the provider
     (simulated traffic); runs the network until quiescent. Returns the
-    provider's Loc-RIB size afterwards. *)
+    provider's Loc-RIB size afterwards. Dump routes that overlap
+    {!customer_prefixes} are left out: only the customer originates
+    its space. *)
 
 val provider_router : t -> Router.t

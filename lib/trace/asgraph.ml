@@ -1,92 +1,87 @@
 module Rng = Dice_util.Rng
 
-let base_asn = 64600
+type link =
+  | Transit of { customer : int; provider : int }
+  | Peering of int * int
 
 type t = {
-  n : int;
-  provider_lists : int list array;  (* index -> provider indices *)
-  n_tier1 : int;
+  providers : int list array;
+  links : link list;  (* creation order *)
+  cum : int array;  (* cum.(i) = sum over j <= i of deg(j) + 1 *)
 }
 
-let idx_of_asn asn = asn - base_asn
-let asn_of_idx i = base_asn + i
-
-let generate ~rng ~n_ases () =
-  if n_ases < 1 then invalid_arg "Asgraph.generate: need at least one AS";
-  let n_tier1 = min 8 n_ases in
-  let provider_lists = Array.make n_ases [] in
-  let degrees = Array.make n_ases 0 in
-  (* tier-1 clique *)
-  for i = 0 to n_tier1 - 1 do
-    degrees.(i) <- n_tier1 - 1
-  done;
-  (* preferential attachment for the rest *)
-  let total_degree = ref (n_tier1 * (n_tier1 - 1)) in
-  for i = n_tier1 to n_ases - 1 do
-    let n_providers = if Rng.chance rng 0.3 then 2 else 1 in
-    let pick () =
-      (* roulette over degrees of existing ASes, with +1 smoothing *)
-      let target = Rng.int rng (!total_degree + i) in
-      let rec find j acc =
-        if j >= i - 1 then j
-        else begin
-          let acc = acc + degrees.(j) + 1 in
-          if acc > target then j else find (j + 1) acc
-        end
-      in
-      find 0 0
-    in
-    let rec add_providers k acc =
-      if k = 0 then acc
-      else begin
-        let p = pick () in
-        if List.mem p acc then add_providers k acc else add_providers (k - 1) (p :: acc)
-      end
-    in
-    let providers = add_providers n_providers [] in
-    provider_lists.(i) <- providers;
-    List.iter
-      (fun p ->
-        degrees.(p) <- degrees.(p) + 1;
-        total_degree := !total_degree + 2)
-      providers;
-    degrees.(i) <- List.length providers
-  done;
-  { n = n_ases; provider_lists; n_tier1 }
-
-let n_ases t = t.n
-
-let asns t = Array.init t.n asn_of_idx
-
-let check t asn =
-  let i = idx_of_asn asn in
-  if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Asgraph: unknown AS %d" asn);
-  i
-
-let providers t asn = List.map asn_of_idx t.provider_lists.(check t asn)
-
-let random_as t ~rng =
-  (* Zipf over creation order approximates degree bias (earlier ASes are
-     better connected under preferential attachment). *)
-  let i = Rng.zipf rng t.n 0.9 - 1 in
-  asn_of_idx i
-
-let path_from_origin t ~rng ~collector_as ~origin =
-  let oi = check t origin in
-  (* climb provider chains from the origin to a tier-1 *)
-  let rec climb i acc guard =
-    if i < t.n_tier1 || guard = 0 then i :: acc
-    else begin
-      match t.provider_lists.(i) with
-      | [] -> i :: acc
-      | ps -> begin
-        let p = Rng.pick_list rng ps in
-        climb p (i :: acc) (guard - 1)
-      end
-    end
+let generate ~rng n =
+  if n < 1 then invalid_arg "Asgraph.generate: need at least one AS";
+  let t1 = min 8 (max 1 (n / 4)) in
+  let deg = Array.make n 0 in
+  let providers = Array.make n [] in
+  let links = ref [] and n_links = ref 0 in
+  let add l i j =
+    links := l :: !links;
+    incr n_links;
+    deg.(i) <- deg.(i) + 1;
+    deg.(j) <- deg.(j) + 1
   in
-  (* [chain] is tier1 .. origin (top-down) *)
-  let chain = climb oi [] 12 in
-  let path = List.map asn_of_idx chain in
-  let path = List.filter (fun a -> a <> collector_as) path in
-  collector_as :: path
+  (* Roulette over degree+1 among the [i] nodes placed before [i], so
+     early well-connected providers keep attracting customers and the
+     degree distribution goes heavy-tailed like the real AS graph. Only
+     nodes up to [i] have links yet, so their weights sum to
+     2·links − deg(i) + i without a pass over them. *)
+  let pick i =
+    let r = Rng.int rng ((2 * !n_links) - deg.(i) + i) in
+    let rec find j acc =
+      let acc = acc + deg.(j) + 1 in
+      if r < acc then j else find (j + 1) acc
+    in
+    find 0 0
+  in
+  (* tier-1 core: a full settlement-free mesh *)
+  for i = 1 to t1 - 1 do
+    for j = 0 to i - 1 do
+      add (Peering (j, i)) i j
+    done
+  done;
+  (* everyone below the core buys transit from one or two established
+     providers, then sometimes peers sideways with an unrelated AS *)
+  for i = t1 to n - 1 do
+    let p1 = pick i in
+    add (Transit { customer = i; provider = p1 }) i p1;
+    providers.(i) <- [ p1 ];
+    if Rng.chance rng 0.3 then begin
+      let p2 = pick i in
+      if p2 <> p1 then begin
+        add (Transit { customer = i; provider = p2 }) i p2;
+        providers.(i) <- p2 :: providers.(i)
+      end
+    end;
+    if i > t1 && Rng.chance rng 0.15 then begin
+      let j = t1 + Rng.int rng (i - t1) in
+      if not (List.mem j providers.(i)) then add (Peering (i, j)) i j
+    end
+  done;
+  let cum = Array.make n 0 in
+  Array.iteri (fun i d -> cum.(i) <- (if i = 0 then 0 else cum.(i - 1)) + d + 1) deg;
+  { providers; links = List.rev !links; cum }
+
+let links t = t.links
+let providers t i = t.providers.(i)
+
+let random_node t ~rng =
+  let n = Array.length t.cum in
+  let r = Rng.int rng t.cum.(n - 1) in
+  (* the first node whose running sum passes [r] *)
+  let rec search lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if t.cum.(mid) > r then search lo mid else search (mid + 1) hi
+  in
+  search 0 (n - 1)
+
+let climb t ~rng origin =
+  let rec go i acc =
+    match t.providers.(i) with
+    | [] -> i :: acc
+    | ps -> go (Rng.pick_list rng ps) (i :: acc)
+  in
+  go origin []

@@ -71,6 +71,10 @@ let sample_addr rng =
   in
   go ()
 
+(* Graph node [i] is AS [base_asn + i], above the testbed's own AS
+   numbers. *)
+let base_asn = 64600
+
 let sample_origin rng =
   let r = Rng.int rng 100 in
   if r < 75 then Dice_bgp.Attr.Igp
@@ -81,12 +85,19 @@ let generate p =
   if p.n_prefixes < 1 then invalid_arg "Gen.generate: need at least one prefix";
   let rng = Rng.create p.seed in
   let graph_rng = Rng.split rng in
-  let graph = Asgraph.generate ~rng:graph_rng ~n_ases:p.n_ases () in
+  let graph = Asgraph.generate ~rng:graph_rng p.n_ases in
   let seen : (Prefix.t, unit) Hashtbl.t = Hashtbl.create (2 * p.n_prefixes) in
   let mk_entry prefix =
-    let origin_as = Asgraph.random_as graph ~rng in
+    let chain = Asgraph.climb graph ~rng (Asgraph.random_node graph ~rng) in
+    (* a chain through the collector's own AS skips it: paths stay
+       loop-free *)
     let as_path =
-      Asgraph.path_from_origin graph ~rng ~collector_as:p.collector_as ~origin:origin_as
+      p.collector_as
+      :: List.filter_map
+           (fun i ->
+             let asn = base_asn + i in
+             if asn = p.collector_as then None else Some asn)
+           chain
     in
     {
       prefix;
@@ -136,18 +147,6 @@ let generate p =
     events = Array.of_list (List.rev !events);
     duration = p.duration;
   }
-
-let origin_of t prefix =
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if Prefix.equal e.prefix prefix then
-        found :=
-          (match List.rev e.as_path with
-          | last :: _ -> Some last
-          | [] -> None))
-    t.dump;
-  !found
 
 let route_attrs ~next_hop (e : entry) =
   let open Dice_bgp in

@@ -3,9 +3,12 @@
     The paper replays "a full dump plus 15-min updates trace" from
     route-views.eqix (319,355 prefixes). We lack that proprietary capture,
     so this module generates an equivalent-shaped workload: a full-table
-    dump whose prefix-length and AS-path-length distributions match
-    published BGP table statistics, followed by a timed update trace with
-    announce/withdraw churn at a configurable rate. *)
+    dump whose prefix-length distribution follows published BGP table
+    statistics, followed by a timed update trace with announce/withdraw
+    churn at a configurable rate. Each route's origin is drawn by degree
+    from an {!Asgraph} of [n_ases] ASes (numbered from 64600), and its
+    AS path climbs one random provider at a time from the origin to a
+    tier-1. *)
 
 open Dice_inet
 
@@ -45,9 +48,6 @@ val default_params : params
     withdrawals. *)
 
 val generate : params -> t
-
-val origin_of : t -> Prefix.t -> int option
-(** Origin AS a prefix was given in the dump. *)
 
 val to_updates : t -> peer_as:int -> next_hop:Ipv4.t -> Dice_bgp.Msg.t list
 (** The dump as a list of UPDATE messages (one prefix per message, like a

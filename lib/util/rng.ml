@@ -44,46 +44,7 @@ let pick_list t l =
   assert (l <> []);
   List.nth l (int t (List.length l))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let geometric t p =
-  assert (p > 0.0 && p <= 1.0);
-  if p >= 1.0 then 0
-  else
-    let u = Stdlib.max 1e-12 (float t 1.0) in
-    int_of_float (Float.floor (Float.log u /. Float.log (1.0 -. p)))
-
 let exponential t rate =
   assert (rate > 0.0);
   let u = Stdlib.max 1e-12 (float t 1.0) in
   -.Float.log u /. rate
-
-(* Rejection-inversion sampling for the Zipf distribution
-   (Hörmann & Derflinger 1996). *)
-let zipf t n s =
-  assert (n >= 1);
-  if n = 1 then 1
-  else begin
-    let h x = if Float.abs (s -. 1.0) < 1e-9 then Float.log x else (x ** (1.0 -. s)) /. (1.0 -. s) in
-    let h_inv x =
-      if Float.abs (s -. 1.0) < 1e-9 then Float.exp x
-      else ((1.0 -. s) *. x) ** (1.0 /. (1.0 -. s))
-    in
-    let hx0 = h 0.5 -. (1.0 /. (0.5 ** s)) in
-    let hn = h (float_of_int n +. 0.5) in
-    let rec loop () =
-      let u = hx0 +. float t (hn -. hx0) in
-      let x = h_inv u in
-      let k = int_of_float (Float.round x) in
-      let k = if k < 1 then 1 else if k > n then n else k in
-      if u >= h (float_of_int k +. 0.5) -. (1.0 /. (float_of_int k ** s)) then loop ()
-      else k
-    in
-    loop ()
-  end

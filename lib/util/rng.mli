@@ -44,18 +44,6 @@ val pick : t -> 'a array -> 'a
 val pick_list : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val geometric : t -> float -> int
-(** [geometric t p] samples the number of failures before the first success
-    of a Bernoulli([p]) process; mean [(1-p)/p]. Requires [0 < p <= 1]. *)
-
 val exponential : t -> float -> float
 (** [exponential t rate] samples an exponential inter-arrival time with the
     given rate (events per unit time). *)
-
-val zipf : t -> int -> float -> int
-(** [zipf t n s] samples from a Zipf distribution over [\[1, n\]] with
-    exponent [s], via rejection-inversion. Used for realistic AS-degree and
-    prefix-popularity skews. *)

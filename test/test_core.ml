@@ -247,6 +247,9 @@ let test_leakable_summary () =
 
 (* ---- Orchestrator (on the 3-router testbed) ---- *)
 
+(* The table always holds a foreign-origin route inside the filter's leaky
+   198.0.0.0/8 block, where exploration steers the observed address: the
+   hijack tests then check the filter, not what the trace happened to draw. *)
 let testbed ?(prefixes = 1500) filtering =
   let topo = Dice_topology.Threerouter.build filtering in
   Dice_topology.Threerouter.start topo;
@@ -254,7 +257,14 @@ let testbed ?(prefixes = 1500) filtering =
     Dice_trace.Gen.generate
       { Dice_trace.Gen.default_params with Dice_trace.Gen.n_prefixes = prefixes; duration = 30.0 }
   in
-  ignore (Dice_topology.Threerouter.load_table topo trace);
+  let planted =
+    { Dice_trace.Gen.prefix = p "198.0.0.0/11";
+      as_path = [ Dice_topology.Threerouter.internet_as; 65100 ];
+      origin = Attr.Igp; med = None }
+  in
+  ignore
+    (Dice_topology.Threerouter.load_table topo
+       { trace with Dice_trace.Gen.dump = Array.append trace.Dice_trace.Gen.dump [| planted |] });
   topo
 
 let observe_customer dice =
@@ -506,8 +516,9 @@ let test_orchestrator_chained_episodes () =
   let first = episode chained in
   Alcotest.(check bool) "the first episode equals a fresh one's" true
     (first = episode (Orchestrator.create ~cfg live));
-  (* the live node moves on: a route inside the filter's leaky block *)
-  announce "198.0.0.0/11" 65123;
+  (* the live node moves on: a route inside the filter's leaky block,
+     more specific than the one the testbed planted *)
+  announce "198.0.0.0/12" 65123;
   announce "100.64.0.0/24" 65124;
   let second = episode chained in
   Alcotest.(check bool) "the second episode equals a fresh one's" true

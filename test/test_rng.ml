@@ -64,14 +64,6 @@ let test_pick_list () =
     Alcotest.(check bool) "member" true (List.mem (Rng.pick_list rng [ 1; 2; 3 ]) [ 1; 2; 3 ])
   done
 
-let test_shuffle_permutes () =
-  let rng = Rng.create 9L in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
-
 let test_split_independent () =
   let a = Rng.create 10L in
   let b = Rng.split a in
@@ -84,31 +76,6 @@ let test_copy_replays () =
   ignore (Rng.int64 a);
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.int64 a) (Rng.int64 b)
-
-let test_zipf_range () =
-  let rng = Rng.create 12L in
-  for _ = 1 to 500 do
-    let v = Rng.zipf rng 100 1.1 in
-    Alcotest.(check bool) "in [1,100]" true (v >= 1 && v <= 100)
-  done
-
-let test_zipf_skew () =
-  let rng = Rng.create 13L in
-  let low = ref 0 in
-  for _ = 1 to 1000 do
-    if Rng.zipf rng 1000 1.0 <= 10 then incr low
-  done;
-  Alcotest.(check bool) "head-heavy" true (!low > 200)
-
-let test_zipf_singleton () =
-  let rng = Rng.create 14L in
-  Alcotest.(check int) "n=1" 1 (Rng.zipf rng 1 1.0)
-
-let test_geometric_nonneg () =
-  let rng = Rng.create 15L in
-  for _ = 1 to 500 do
-    Alcotest.(check bool) "non-negative" true (Rng.geometric rng 0.3 >= 0)
-  done
 
 let test_exponential_positive () =
   let rng = Rng.create 16L in
@@ -137,13 +104,8 @@ let suite =
     ("chance extremes", `Quick, test_chance_extremes);
     ("pick", `Quick, test_pick);
     ("pick_list", `Quick, test_pick_list);
-    ("shuffle permutes", `Quick, test_shuffle_permutes);
     ("split independent", `Quick, test_split_independent);
     ("copy replays", `Quick, test_copy_replays);
-    ("zipf range", `Quick, test_zipf_range);
-    ("zipf skew", `Quick, test_zipf_skew);
-    ("zipf singleton", `Quick, test_zipf_singleton);
-    ("geometric non-negative", `Quick, test_geometric_nonneg);
     ("exponential positive", `Quick, test_exponential_positive);
     ("exponential mean", `Quick, test_exponential_mean)
   ]

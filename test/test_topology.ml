@@ -150,6 +150,46 @@ let test_intent_of_realizes_everywhere () =
         Speakers.names)
     s.Spec.domains
 
+(* Dump routes overlapping the customer's space never reach the provider:
+   each seed's trace gets a covering, a covered and an equal route from a
+   foreign origin, which the table must not hold. *)
+let test_threerouter_table_clear_of_customer () =
+  let foreign prefix =
+    { Dice_trace.Gen.prefix = p prefix; as_path = [ Threerouter.internet_as; 65001 ];
+      origin = Attr.Igp; med = None }
+  in
+  List.iter
+    (fun seed ->
+      let trace =
+        Dice_trace.Gen.generate
+          { Dice_trace.Gen.default_params with
+            Dice_trace.Gen.seed; n_prefixes = 300; duration = 0.0 }
+      in
+      let planted =
+        Array.map foreign [| "198.32.0.0/11"; "198.51.100.0/24"; "203.0.113.0/24"; "203.0.0.0/8" |]
+      in
+      let trace =
+        { trace with Dice_trace.Gen.dump = Array.append trace.Dice_trace.Gen.dump planted }
+      in
+      let topo = Threerouter.build Threerouter.Partially_correct in
+      Threerouter.start topo;
+      ignore (Threerouter.load_table topo trace);
+      Rib.Loc.fold
+        (fun prefix (e : Rib.Loc.entry) () ->
+          if
+            List.exists
+              (fun q -> Prefix.subsumes q prefix || Prefix.subsumes prefix q)
+              Threerouter.customer_prefixes
+          then
+            Alcotest.(check (option int))
+              (Printf.sprintf "seed %Ld: %s originated by the customer" seed
+                 (Prefix.to_string prefix))
+              (Some Threerouter.customer_as)
+              (Route.origin_as e.Rib.Loc.route))
+        (Router.loc_rib (Threerouter.provider_router topo))
+        ())
+    [ 1L; 42L; 541L ]
+
 (* ------------------------------------------------------------------ *)
 (* Generation properties                                               *)
 (* ------------------------------------------------------------------ *)
@@ -197,6 +237,21 @@ let prop_gen_text_roundtrip =
       let s = Tgen.generate ~seed ~domains () in
       let text = Spec.to_string s in
       Spec.to_string (Spec.parse text) = text)
+
+(* Spec text of a few (seed, domains) pairs, pinned across commits: the
+   generator must keep every generated fleet byte for byte. *)
+let test_gen_pinned () =
+  List.iter
+    (fun (seed, domains, md5) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld, %d domains" seed domains)
+        md5
+        (Digest.to_hex (Digest.string (Spec.to_string (Tgen.generate ~seed ~domains ())))))
+    [ (1L, 16, "f97bfeec80ff1e97eeee2edc6950cac3");
+      (7L, 16, "7b05806de4c287166fba6316c3769fad");
+      (99L, 3, "0ec065b2f7f5db9efaf3c218dca97fe8");
+      (31L, 64, "e0237a037a64e5a1b446fd16eb70566f");
+      (99L, 200, "db4de43b7db1a8ea79627988efcdf7eb") ]
 
 (* ------------------------------------------------------------------ *)
 (* Valley-free propagation                                             *)
@@ -559,6 +614,9 @@ let suite =
     Alcotest.test_case "spec text round-trip" `Quick test_spec_text_roundtrip;
     Alcotest.test_case "spec parse errors" `Quick test_spec_parse_errors;
     Alcotest.test_case "threerouter as a spec" `Quick test_threerouter_spec;
+    Alcotest.test_case "threerouter table clear of customer space" `Quick
+      test_threerouter_table_clear_of_customer;
+    Alcotest.test_case "generated specs pinned" `Quick test_gen_pinned;
     Alcotest.test_case "intent realizes through every dialect" `Quick
       test_intent_of_realizes_everywhere;
     QCheck_alcotest.to_alcotest prop_gen_deterministic;

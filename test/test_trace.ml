@@ -12,57 +12,80 @@ let small_params =
 
 (* ---- Asgraph ---- *)
 
-let graph () = Asgraph.generate ~rng:(Rng.create 5L) ~n_ases:100 ()
+let graph () = Asgraph.generate ~rng:(Rng.create 5L) 100
+
+(* the tier-1 clique is the first [min 8 (max 1 (n / 4))] nodes *)
+let n_tier1 = 8
 
 let test_graph_shape () =
   let g = graph () in
-  Alcotest.(check int) "n" 100 (Asgraph.n_ases g);
-  Alcotest.(check int) "asns dense" 100 (Array.length (Asgraph.asns g));
-  Alcotest.(check int) "base" Asgraph.base_asn (Asgraph.asns g).(0)
-
-(* the tier-1 clique is the first [min 8 n_ases] ASes (creation order) *)
-let n_tier1 = 8
+  let links = Asgraph.links g in
+  let clique = List.filteri (fun k _ -> k < n_tier1 * (n_tier1 - 1) / 2) links in
+  List.iter
+    (function
+      | Asgraph.Peering (a, b) ->
+        Alcotest.(check bool) "clique peers are tier-1s" true (a < n_tier1 && b < n_tier1)
+      | Asgraph.Transit _ -> Alcotest.fail "transit inside the tier-1 clique")
+    clique;
+  Alcotest.(check int) "a full mesh" 28 (List.length (List.sort_uniq compare clique));
+  (* the transit links are exactly the provider lists, providers first *)
+  List.iter
+    (function
+      | Asgraph.Transit { customer; provider } ->
+        Alcotest.(check bool) "provider precedes customer" true (provider < customer);
+        Alcotest.(check bool) "listed provider" true
+          (List.mem provider (Asgraph.providers g customer))
+      | Asgraph.Peering _ -> ())
+    links;
+  let transits =
+    List.length (List.filter (function Asgraph.Transit _ -> true | _ -> false) links)
+  in
+  let listed = ref 0 in
+  for i = 0 to 99 do
+    listed := !listed + List.length (Asgraph.providers g i)
+  done;
+  Alcotest.(check int) "one transit link per listed provider" transits !listed
 
 let test_graph_tier1_no_providers () =
   let g = graph () in
-  Array.iteri
-    (fun i asn ->
-      if i < n_tier1 then
-        Alcotest.(check (list int)) (Printf.sprintf "tier-1 AS%d has no provider" asn) []
-          (Asgraph.providers g asn))
-    (Asgraph.asns g)
+  for i = 0 to n_tier1 - 1 do
+    Alcotest.(check (list int)) (Printf.sprintf "tier-1 %d has no provider" i) []
+      (Asgraph.providers g i)
+  done
 
 let test_graph_everyone_has_provider () =
   let g = graph () in
-  Array.iteri
-    (fun i asn ->
-      if i >= n_tier1 then
-        Alcotest.(check bool)
-          (Printf.sprintf "AS%d has a provider" asn)
-          true
-          (Asgraph.providers g asn <> []))
-    (Asgraph.asns g)
+  for i = n_tier1 to 99 do
+    Alcotest.(check bool) (Printf.sprintf "node %d has a provider" i) true
+      (Asgraph.providers g i <> [])
+  done
 
 let test_graph_unknown_as_rejected () =
   let g = graph () in
-  Alcotest.check_raises "unknown" (Invalid_argument "Asgraph: unknown AS 1") (fun () ->
-      ignore (Asgraph.providers g 1))
+  match Asgraph.providers g 100 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "node 100 of a 100-node graph accepted"
 
 let test_path_shape () =
   let g = graph () in
   let rng = Rng.create 6L in
-  for _ = 1 to 50 do
-    let origin = Asgraph.random_as g ~rng in
-    let path = Asgraph.path_from_origin g ~rng ~collector_as:64700 ~origin in
-    (match path with
-    | collector :: _ -> Alcotest.(check int) "collector first" 64700 collector
-    | [] -> Alcotest.fail "empty path");
-    (match List.rev path with
-    | last :: _ -> Alcotest.(check int) "origin last" origin last
-    | [] -> ());
-    (* loop-free *)
-    Alcotest.(check int) "no duplicates" (List.length path)
-      (List.length (List.sort_uniq compare path))
+  for _ = 1 to 200 do
+    let origin = Asgraph.random_node g ~rng in
+    let chain = Asgraph.climb g ~rng origin in
+    (match chain with
+    | top :: _ -> Alcotest.(check bool) "starts at a tier-1" true (top < n_tier1)
+    | [] -> Alcotest.fail "empty chain");
+    Alcotest.(check int) "ends at the origin" origin (List.nth chain (List.length chain - 1));
+    (* each hop down is a customer of the hop above *)
+    let rec hops = function
+      | up :: (down :: _ as rest) ->
+        Alcotest.(check bool) "climbs to a provider" true (List.mem up (Asgraph.providers g down));
+        hops rest
+      | _ -> ()
+    in
+    hops chain;
+    Alcotest.(check int) "no loops" (List.length chain)
+      (List.length (List.sort_uniq compare chain))
   done
 
 (* ---- Gen ---- *)
@@ -108,14 +131,27 @@ let test_gen_events_chronological () =
     t.Gen.events;
   Alcotest.(check bool) "chronological, within duration" true !ok
 
-let test_gen_origin_of () =
-  let t = Gen.generate small_params in
-  let e = t.Gen.dump.(0) in
-  Alcotest.(check (option int)) "matches path tail"
-    (match List.rev e.Gen.as_path with
-    | last :: _ -> Some last
-    | [] -> None)
-    (Gen.origin_of t e.Gen.prefix)
+(* A stand-in for a RouteViews dump must not be one origin's table over
+   one path length. *)
+let test_gen_many_origins () =
+  let t = Gen.generate { Gen.default_params with Gen.n_prefixes = 2_000 } in
+  let origins = Hashtbl.create 64 and lengths = Hashtbl.create 8 in
+  Array.iter
+    (fun (e : Gen.entry) ->
+      let origin = List.nth e.Gen.as_path (List.length e.Gen.as_path - 1) in
+      Hashtbl.replace origins origin
+        (1 + Option.value ~default:0 (Hashtbl.find_opt origins origin));
+      Hashtbl.replace lengths (List.length e.Gen.as_path) ())
+    t.Gen.dump;
+  let top = Hashtbl.fold (fun _ c acc -> max c acc) origins 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "top origin holds %d of 2000 routes" top)
+    true
+    (float_of_int top < 0.10 *. 2_000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct path lengths" (Hashtbl.length lengths))
+    true
+    (Hashtbl.length lengths >= 3)
 
 let test_gen_to_updates () =
   let t = Gen.generate small_params in
@@ -234,7 +270,7 @@ let suite =
     ("gen seed-sensitive", `Quick, test_gen_seed_sensitive);
     ("gen dump valid", `Quick, test_gen_dump_sorted_and_valid);
     ("gen events chronological", `Quick, test_gen_events_chronological);
-    ("gen origin_of", `Quick, test_gen_origin_of);
+    ("gen dump is not one origin's", `Quick, test_gen_many_origins);
     ("gen to_updates", `Quick, test_gen_to_updates);
     ("mrt roundtrip", `Quick, test_mrt_roundtrip);
     ("mrt corrupt rejected", `Quick, test_mrt_corrupt_rejected);
