@@ -64,9 +64,9 @@ let import ~ctx cfg (pcfg : Config_types.peer_cfg) ~best ~probe ~learn croute =
     let prefix, route = Croute.to_route cr in
     let previous_best = best prefix in
     probe cr previous_best;
-    let outputs = learn prefix route in
+    let outputs, now_best = learn prefix route previous_best in
     let installed =
-      match best prefix with
+      match now_best with
       | Some e ->
         e.Rib.Loc.src.Route.peer_addr = pcfg.Config_types.neighbor
         && Route.equal e.Rib.Loc.route route
@@ -74,9 +74,12 @@ let import ~ctx cfg (pcfg : Config_types.peer_cfg) ~best ~probe ~learn croute =
     in
     { Import.prefix; accepted = true; installed; route = Some route; previous_best; outputs }
 
+(* Outputs accumulate reversed, a session's worth at a time, and come
+   out in the order they were made. *)
 let process_update ~import ~withdraw ~tick (u : Msg.update) =
   let outs = ref [] in
-  let withdraw prefix = outs := !outs @ withdraw prefix in
+  let emit msgs = outs := List.rev_append msgs !outs in
+  let withdraw prefix = emit (withdraw prefix) in
   List.iter withdraw u.Msg.withdrawn;
   if u.Msg.nlri <> [] then begin
     match Route.of_attrs u.Msg.attrs with
@@ -85,13 +88,13 @@ let process_update ~import ~withdraw ~tick (u : Msg.update) =
       List.iter
         (fun prefix ->
           let outcome = import (Croute.of_route prefix route) in
-          outs := !outs @ outcome.Import.outputs;
+          emit outcome.Import.outputs;
           (* policy-rejected: any previous version must go *)
           if not outcome.Import.accepted then withdraw prefix)
         u.Msg.nlri
   end
   else if u.Msg.withdrawn <> [] then tick ();
-  !outs
+  List.rev !outs
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

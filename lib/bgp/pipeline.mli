@@ -29,15 +29,18 @@ val import :
   Config_types.peer_cfg ->
   best:(Prefix.t -> Rib.Loc.entry option) ->
   probe:(Croute.t -> Rib.Loc.entry option -> unit) ->
-  learn:(Prefix.t -> Route.t -> (Ipv4.t * Msg.t) list) ->
+  learn:
+    (Prefix.t -> Route.t -> Rib.Loc.entry option -> (Ipv4.t * Msg.t) list * Rib.Loc.entry option) ->
   Croute.t ->
   Import.outcome
 (** One announcement on the session through import admission: the
     AS-loop check, the session's import policy (recording via [ctx])
     and the default LOCAL_PREF of 100. A rejected route yields the
     rejected outcome. An admitted one is handed to [probe] with the
-    prefix's current [best] entry, then to [learn], which stores it in
-    the Adj-RIB-In, runs the decision and returns the export traffic. *)
+    prefix's current [best] entry, then to [learn] with that entry too;
+    [learn] stores the route in the Adj-RIB-In, runs the decision and
+    returns the export traffic and the best entry now installed. [best]
+    is called once per announcement. *)
 
 val process_update :
   import:(Croute.t -> Import.outcome) ->

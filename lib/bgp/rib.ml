@@ -8,9 +8,7 @@ module Adj = struct
   let remove = Prefix_trie.remove
   let find_opt = Prefix_trie.find_opt
   let cardinal = Prefix_trie.cardinal
-  let to_list = Prefix_trie.to_list
   let fold = Prefix_trie.fold
-  let diff (a : t) (b : t) = Prefix_trie.diff Route.equal a b
 end
 
 module Loc = struct

@@ -2,8 +2,11 @@
 
     A router keeps one Adj-RIB-In per peer (routes as learned), a Loc-RIB
     (the selected best routes) and one Adj-RIB-Out per peer (routes as
-    advertised). All three are prefix tries so that checkpoint clones share
-    structure and the hijack checker can run covering-prefix queries. *)
+    advertised). They are prefix tries so that checkpoint clones share
+    structure and the hijack checker can run covering-prefix queries.
+    XORP keeps each peer's tables in an {!Adj}; BIRD keeps a {!Loc} and
+    holds every peer's routes for a prefix on one entry of its own
+    network table ({!Router}). *)
 
 open Dice_inet
 
@@ -17,13 +20,7 @@ module Adj : sig
   val remove : Prefix.t -> t -> t
   val find_opt : Prefix.t -> t -> Route.t option
   val cardinal : t -> int
-  val to_list : t -> (Prefix.t * Route.t) list
   val fold : (Prefix.t -> Route.t -> 'a -> 'a) -> t -> 'a -> 'a
-
-  val diff : t -> t -> (Prefix.t * Route.t option * Route.t option) list
-  (** The prefixes whose route differs between two tables
-      ({!Dice_inet.Prefix_trie.diff}): O(written paths) between a table
-      and a persistent update of it. *)
 end
 
 module Loc : sig
@@ -48,7 +45,9 @@ module Loc : sig
   val fold : (Prefix.t -> entry -> 'a -> 'a) -> t -> 'a -> 'a
 
   val diff : t -> t -> (Prefix.t * entry option * entry option) list
-  (** As {!Adj.diff}, comparing route and provenance. *)
+  (** The prefixes whose entry differs between two tables, comparing route
+      and provenance ({!Dice_inet.Prefix_trie.diff}): O(written paths)
+      between a table and a persistent update of it. *)
 
   val trie_nodes : t -> int
   (** Physical trie nodes backing this table

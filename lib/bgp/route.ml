@@ -96,7 +96,9 @@ let remove_community t c =
 
 let prepend_as t asn = { t with as_path = Asn.Path.prepend asn t.as_path }
 
-let equal (a : t) (b : t) = a = b
+(* the same route is often compared with itself (an unchanged best, a
+   resent advertisement): skip the structural walk *)
+let equal (a : t) (b : t) = a == b || a = b
 
 let pp ppf t =
   Format.fprintf ppf "{path=[%a] nh=%a origin=%s lp=%s med=%s}" Asn.Path.pp t.as_path

@@ -14,11 +14,31 @@ type output =
 
 type peer_rt = {
   pcfg : Config_types.peer_cfg;
+  idx : int;  (* the session's position in every network entry *)
+  src : Route.src;  (* the provenance of the routes it announces *)
   mutable fsm : Fsm.state;
-  mutable adj_in : Rib.Adj.t;
-  mutable adj_out : Rib.Adj.t;
   mutable as4 : bool;
 }
+
+(* BIRD's table: one entry per network holding all of that network's
+   routes, as BIRD's rtable keeps them on one [net]. An announcement
+   walks this table and the Loc-RIB, however many sessions there are.
+   An entry is one block: slot [rin i] holds what session [i] announced
+   (its Adj-RIB-In), slot [rout i] what it was last sent (its
+   Adj-RIB-Out), and the last slot the configured static route. A stored
+   entry is never mutated, so a clone shares it with the trie. *)
+type net = Route.t option array
+
+let rin i = 2 * i
+let rout i = (2 * i) + 1
+let static_slot (e : net) = Array.length e - 1
+
+(* [e] with slot [i] set to [v]: a copy, since stored entries are
+   shared *)
+let with_route (e : net) i v =
+  let e = Array.copy e in
+  e.(i) <- v;
+  e
 
 (* slot bookkeeping for stable-layout snapshots (see the Checkpointing
    section): every RIB entry owns a fixed-size slot, keyed by table and
@@ -60,7 +80,9 @@ type layout = {
 type t = {
   cfg : Config_types.t;
   peers : (Ipv4.t, peer_rt) Hashtbl.t;
-  statics : Rib.Loc.entry Dice_inet.Prefix_trie.t;
+  addrs : Ipv4.t array;  (* session addresses by index *)
+  blank : net;  (* a network with no route; never stored *)
+  mutable nets : net Prefix_trie.t;
   mutable loc : Rib.Loc.t;
   mutable updates : int;
   mutable layout : layout;
@@ -69,23 +91,35 @@ type t = {
 let config t = t.cfg
 
 let create cfg =
-  let statics = Prefix_trie.of_list (Pipeline.statics cfg) in
-  let t =
-    {
-      cfg;
-      peers = Hashtbl.create 8;
-      statics;
-      loc = Prefix_trie.fold (fun p e acc -> Rib.Loc.set p e acc) statics Rib.Loc.empty;
-      updates = 0;
-      layout = { slots = Slot_map.empty; next_slot = 0; free_slots = []; spilled = [] };
-    }
-  in
-  List.iter
-    (fun pcfg ->
-      Hashtbl.replace t.peers pcfg.Config_types.neighbor
-        { pcfg; fsm = Fsm.initial; adj_in = Rib.Adj.empty; adj_out = Rib.Adj.empty; as4 = true })
-    cfg.Config_types.peers;
-  t
+  let peer_cfgs = Array.of_list cfg.Config_types.peers in
+  let peers = Hashtbl.create 8 in
+  Array.iteri
+    (fun idx pcfg ->
+      Hashtbl.replace peers pcfg.Config_types.neighbor
+        {
+          pcfg;
+          idx;
+          src = Pipeline.src_of_peer ~local_as:cfg.Config_types.local_as pcfg;
+          fsm = Fsm.initial;
+          as4 = true;
+        })
+    peer_cfgs;
+  let blank = Array.make ((2 * Array.length peer_cfgs) + 1) None in
+  let statics = Pipeline.statics cfg in
+  {
+    cfg;
+    peers;
+    addrs = Array.map (fun pcfg -> pcfg.Config_types.neighbor) peer_cfgs;
+    blank;
+    nets =
+      List.fold_left
+        (fun nets (p, (e : Rib.Loc.entry)) ->
+          Prefix_trie.add p (with_route blank (static_slot blank) (Some e.Rib.Loc.route)) nets)
+        Prefix_trie.empty statics;
+    loc = List.fold_left (fun loc (p, e) -> Rib.Loc.set p e loc) Rib.Loc.empty statics;
+    updates = 0;
+    layout = { slots = Slot_map.empty; next_slot = 0; free_slots = []; spilled = [] };
+  }
 
 let peer_exn t addr =
   match Hashtbl.find_opt t.peers addr with
@@ -100,30 +134,45 @@ let established_peers t =
   |> List.sort compare
 
 let loc_rib t = t.loc
-let adj_rib_in t addr = Option.map (fun p -> p.adj_in) (Hashtbl.find_opt t.peers addr)
-let adj_rib_out t addr = Option.map (fun p -> p.adj_out) (Hashtbl.find_opt t.peers addr)
 let best_route t prefix = Rib.Loc.find_opt prefix t.loc
 let updates_processed t = t.updates
+
+(* ------------------------------------------------------------------ *)
+(* The network table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let net_of t prefix = Option.value (Prefix_trie.find_opt prefix t.nets) ~default:t.blank
+
+(* Store [prefix]'s entry, dropping one that holds no route. *)
+let store t prefix e =
+  t.nets <-
+    (if Array.for_all Option.is_none e then Prefix_trie.remove prefix t.nets
+     else Prefix_trie.add prefix e t.nets)
+
+let learned_from t ~peer prefix =
+  match Hashtbl.find_opt t.peers peer with
+  | Some p -> Option.is_some (net_of t prefix).(rin p.idx)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Decision process                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let candidates t prefix =
+let decide t e =
   let from_static =
-    match Prefix_trie.find_opt prefix t.statics with
-    | Some e -> [ (e.Rib.Loc.route, e.Rib.Loc.src) ]
+    match e.(static_slot e) with
+    | Some r -> [ (r, Route.static_src) ]
     | None -> []
   in
-  Hashtbl.fold
-    (fun _ p acc ->
-      match Rib.Adj.find_opt prefix p.adj_in with
-      | Some r -> (r, Pipeline.src_of_peer ~local_as:t.cfg.Config_types.local_as p.pcfg) :: acc
-      | None -> acc)
-    t.peers from_static
-
-let decide t prefix =
-  match Decision.best (candidates t prefix) with
+  let candidates =
+    Hashtbl.fold
+      (fun _ p acc ->
+        match e.(rin p.idx) with
+        | Some r -> (r, p.src) :: acc
+        | None -> acc)
+      t.peers from_static
+  in
+  match Decision.best candidates with
   | Some (route, src) -> Some { Rib.Loc.route; src }
   | None -> None
 
@@ -131,36 +180,43 @@ let decide t prefix =
 (* Export path                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Compute the UPDATE (if any) for [prefix]'s new best towards [dst], and
-   update the Adj-RIB-Out. *)
-let export_to ?(ctx = Engine.null) t (dst : peer_rt) prefix best =
-  if dst.fsm <> Fsm.Established then []
-  else begin
-    let previously = Rib.Adj.find_opt prefix dst.adj_out in
-    match Pipeline.export ~ctx t.cfg dst.pcfg prefix ~previously best with
-    | None -> []
-    | Some (now, msg) ->
-      dst.adj_out <-
-        (match now with
-        | Some r -> Rib.Adj.add prefix r dst.adj_out
-        | None -> Rib.Adj.remove prefix dst.adj_out);
-      [ msg ]
-  end
+(* The UPDATE (if any) for [prefix]'s new best towards [dst], with what
+   [dst]'s Adj-RIB-Out then holds, given [prefix]'s entry [e]. *)
+let export_to ?(ctx = Engine.null) t (dst : peer_rt) prefix e best =
+  if dst.fsm <> Fsm.Established then None
+  else Pipeline.export ~ctx t.cfg dst.pcfg prefix ~previously:e.(rout dst.idx) best
 
-let export_all ?ctx t prefix best =
-  Hashtbl.fold (fun _ dst acc -> acc @ export_to ?ctx t dst prefix best) t.peers []
+(* Export [best] to every session, in the peers table's order, writing
+   the Adj-RIB-Outs into [e], a copy not yet stored. *)
+let export_all ?ctx t prefix e best =
+  Hashtbl.fold
+    (fun _ dst acc ->
+      match export_to ?ctx t dst prefix e best with
+      | None -> acc
+      | Some (now, msg) ->
+        e.(rout dst.idx) <- now;
+        msg :: acc)
+    t.peers []
+  |> List.rev
 
-(* Recompute the best route for [prefix]; update Loc-RIB and export. *)
-let reconsider ?ctx t prefix =
-  let old_best = Rib.Loc.find_opt prefix t.loc in
-  let new_best = decide t prefix in
-  if Pipeline.best_changed old_best new_best then begin
-    (match new_best with
-    | Some e -> t.loc <- Rib.Loc.set prefix e t.loc
+(* Decide [prefix] over its entry [e], a copy not yet stored. A best
+   that differs from [old_best] is installed in the Loc-RIB and
+   exported. The entry is stored either way; returns the traffic and the
+   best now installed. *)
+let reconsider ?ctx t prefix e old_best =
+  let best = decide t e in
+  if Pipeline.best_changed old_best best then begin
+    (match best with
+    | Some b -> t.loc <- Rib.Loc.set prefix b t.loc
     | None -> t.loc <- Rib.Loc.remove prefix t.loc);
-    export_all ?ctx t prefix new_best
+    let msgs = export_all ?ctx t prefix e best in
+    store t prefix e;
+    (msgs, best)
   end
-  else []
+  else begin
+    store t prefix e;
+    ([], old_best)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Import path                                                         *)
@@ -225,8 +281,7 @@ let rib_walk_probe ctx t (cr : Croute.t) =
       (Rib.Loc.descent concrete_addr t.loc)
   end
 
-let import_concolic ~ctx t ~peer croute =
-  let p = peer_exn t peer in
+let import ~ctx t (p : peer_rt) croute =
   t.updates <- t.updates + 1;
   Pipeline.import ~ctx t.cfg p.pcfg croute
     ~best:(fun prefix -> Rib.Loc.find_opt prefix t.loc)
@@ -235,21 +290,23 @@ let import_concolic ~ctx t ~peer croute =
       (* record the concolic would-beat constraints for the explorer; the
          live path has nothing to record and discards the result *)
       if Engine.recording ctx then ignore (concolic_beats ctx cr previous_best))
-    ~learn:(fun prefix route ->
-      p.adj_in <- Rib.Adj.add prefix route p.adj_in;
-      reconsider ~ctx t prefix)
+    ~learn:(fun prefix route old_best ->
+      let e = net_of t prefix in
+      reconsider ~ctx t prefix (with_route e (rin p.idx) (Some route)) old_best)
+
+let import_concolic ~ctx t ~peer croute = import ~ctx t (peer_exn t peer) croute
+
+(* Drop session [p]'s route for [prefix], if it announced one. *)
+let withdraw ?ctx t (p : peer_rt) prefix =
+  let e = net_of t prefix in
+  if Option.is_none e.(rin p.idx) then []
+  else
+    fst
+      (reconsider ?ctx t prefix (with_route e (rin p.idx) None) (Rib.Loc.find_opt prefix t.loc))
 
 (* Normal-path UPDATE processing. *)
-let process_update ?(ctx = Engine.null) t ~peer u =
-  let p = peer_exn t peer in
-  Pipeline.process_update u
-    ~import:(import_concolic ~ctx t ~peer)
-    ~withdraw:(fun prefix ->
-      if Rib.Adj.find_opt prefix p.adj_in = None then []
-      else begin
-        p.adj_in <- Rib.Adj.remove prefix p.adj_in;
-        reconsider ~ctx t prefix
-      end)
+let process_update ?(ctx = Engine.null) t (p : peer_rt) u =
+  Pipeline.process_update u ~import:(import ~ctx t p) ~withdraw:(withdraw ~ctx t p)
     ~tick:(fun () -> t.updates <- t.updates + 1)
 
 (* ------------------------------------------------------------------ *)
@@ -274,14 +331,28 @@ let open_msg t =
 (* Announce the whole Loc-RIB to a newly established peer. *)
 let initial_advertisement ?ctx t (p : peer_rt) =
   Rib.Loc.fold
-    (fun prefix entry acc -> acc @ export_to ?ctx t p prefix (Some entry))
+    (fun prefix best acc ->
+      let e = net_of t prefix in
+      match export_to ?ctx t p prefix e (Some best) with
+      | None -> acc
+      | Some (now, msg) ->
+        store t prefix (with_route e (rout p.idx) now);
+        msg :: acc)
     t.loc []
+  |> List.rev
 
+(* Session down: the session's Adj-RIB-Out empties, then each network it
+   had announced is withdrawn, in prefix order. Rare, so it folds the
+   whole table. *)
 let flush_peer ?ctx t (p : peer_rt) =
-  let prefixes = List.map fst (Rib.Adj.to_list p.adj_in) in
-  p.adj_in <- Rib.Adj.empty;
-  p.adj_out <- Rib.Adj.empty;
-  List.concat_map (fun prefix -> reconsider ?ctx t prefix) prefixes
+  let learned =
+    Prefix_trie.fold
+      (fun prefix e learned ->
+        if Option.is_some e.(rout p.idx) then store t prefix (with_route e (rout p.idx) None);
+        if Option.is_some e.(rin p.idx) then prefix :: learned else learned)
+      t.nets []
+  in
+  List.concat_map (withdraw ?ctx t p) (List.rev learned)
 
 let to_peer = List.map (fun (dst, m) -> To_peer (dst, m))
 
@@ -299,7 +370,7 @@ let rec apply_actions ?ctx t (p : peer_rt) actions =
       | Fsm.Drop_connection -> [ Close_connection addr ]
       | Fsm.Session_established -> Session_up addr :: to_peer (initial_advertisement ?ctx t p)
       | Fsm.Session_down reason -> Session_down (addr, reason) :: to_peer (flush_peer ?ctx t p)
-      | Fsm.Deliver_update u -> to_peer (process_update ?ctx t ~peer:addr u))
+      | Fsm.Deliver_update u -> to_peer (process_update ?ctx t p u))
     actions
 
 and feed_event ?ctx t (p : peer_rt) ev =
@@ -521,12 +592,15 @@ let snapshot t =
   let live = Hashtbl.create 256 in
   Rib.Loc.fold (fun prefix e () -> Hashtbl.replace live (Slot_loc prefix) (loc_payload prefix e))
     t.loc ();
-  Hashtbl.iter
-    (fun addr p ->
-      let add key route = Hashtbl.replace live key (payload key route None) in
-      Rib.Adj.fold (fun prefix r () -> add (Slot_adj_in (addr, prefix)) r) p.adj_in ();
-      Rib.Adj.fold (fun prefix r () -> add (Slot_adj_out (addr, prefix)) r) p.adj_out ())
-    t.peers;
+  let add key = Option.iter (fun r -> Hashtbl.replace live key (payload key r None)) in
+  Prefix_trie.iter
+    (fun prefix e ->
+      Array.iteri
+        (fun i addr ->
+          add (Slot_adj_in (addr, prefix)) e.(rin i);
+          add (Slot_adj_out (addr, prefix)) e.(rout i))
+        t.addrs)
+    t.nets;
   let changes =
     Slot_map.fold
       (fun k _ acc -> if Hashtbl.mem live k then acc else (k, None) :: acc)
@@ -554,19 +628,23 @@ let snapshot_patch ~base t =
   List.iter
     (fun (prefix, _, e) -> note (Slot_loc prefix) (Option.map (loc_payload prefix) e))
     (Rib.Loc.diff base.loc t.loc);
-  Seq.iter
-    (fun (addr, bp) ->
-      let tp = peer_exn t addr in
-      let adj slot before after =
-        List.iter
-          (fun (prefix, _, r) ->
-            let key = slot prefix in
-            note key (Option.map (fun r -> payload key r None) r))
-          (Rib.Adj.diff before after)
-      in
-      adj (fun prefix -> Slot_adj_in (addr, prefix)) bp.adj_in tp.adj_in;
-      adj (fun prefix -> Slot_adj_out (addr, prefix)) bp.adj_out tp.adj_out)
-    (Hashtbl.to_seq base.peers);
+  let side key before after =
+    match (before, after) with
+    | None, None -> ()
+    | Some a, Some b when Route.equal a b -> ()
+    | _, _ -> note key (Option.map (fun r -> payload key r None) after)
+  in
+  (* each changed network entry becomes its sessions' slot changes *)
+  List.iter
+    (fun (prefix, before, after) ->
+      let before = Option.value before ~default:t.blank
+      and after = Option.value after ~default:t.blank in
+      Array.iteri
+        (fun i addr ->
+          side (Slot_adj_in (addr, prefix)) before.(rin i) after.(rin i);
+          side (Slot_adj_out (addr, prefix)) before.(rout i) after.(rout i))
+        t.addrs)
+    (Prefix_trie.diff ( == ) base.nets t.nets);
   let l, writes = place base.layout !changes in
   t.layout <- l;
   let header = encode_header t l in
@@ -599,9 +677,15 @@ let decode_slot_payload t r =
     let route = Pipeline.get_route r in
     match Hashtbl.find_opt t.peers peer_addr with
     | Some p ->
-      if kind = 2 then p.adj_in <- Rib.Adj.add prefix route p.adj_in
-      else p.adj_out <- Rib.Adj.add prefix route p.adj_out;
-      if kind = 2 then Slot_adj_in (peer_addr, prefix) else Slot_adj_out (peer_addr, prefix)
+      let e = net_of t prefix in
+      if kind = 2 then begin
+        store t prefix (with_route e (rin p.idx) (Some route));
+        Slot_adj_in (peer_addr, prefix)
+      end
+      else begin
+        store t prefix (with_route e (rout p.idx) (Some route));
+        Slot_adj_out (peer_addr, prefix)
+      end
     | None ->
       invalid_arg
         (Printf.sprintf "Router.restore: snapshot peer %s not in configuration"
@@ -682,15 +766,16 @@ let clone t =
   let peers = Hashtbl.create (Hashtbl.length t.peers) in
   Seq.iter
     (fun (addr, p) ->
-      (* fresh mutable cell per peer; the Adj-RIB tries inside are
-         persistent and stay physically shared with the live router *)
-      Hashtbl.replace peers addr
-        { pcfg = p.pcfg; fsm = p.fsm; adj_in = p.adj_in; adj_out = p.adj_out; as4 = p.as4 })
+      (* fresh mutable cell per peer; the network table is persistent and
+         stays physically shared with the live router *)
+      Hashtbl.replace peers addr { p with fsm = p.fsm })
     (Hashtbl.to_seq t.peers);
   {
     cfg = t.cfg;
     peers;
-    statics = t.statics;
+    addrs = t.addrs;
+    blank = t.blank;
+    nets = t.nets;
     loc = t.loc;
     updates = t.updates;
     layout = t.layout;

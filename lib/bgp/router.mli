@@ -12,7 +12,18 @@
     Update processing is written against the concolic value API; with the
     default null context it runs purely concretely ("virtually no
     overhead", paper §3.2), while exploration passes a recording context
-    and a symbolized route. *)
+    and a symbolized route.
+
+    {b Tables.} Two persistent prefix tries hold all routing state, as
+    BIRD's rtable keeps every route of a network on one entry. The
+    Loc-RIB maps each prefix to its best route and provenance. The
+    network table maps each prefix to one entry holding, per session, the
+    route it announced (its Adj-RIB-In) and the route it was last sent
+    (its Adj-RIB-Out), plus the configured static route. An UPDATE walks
+    these two tries whatever the number of sessions: one lookup of each,
+    then at most one write of each. A session going down folds the
+    network table once. The image still gives each (table, session,
+    prefix) its own slot. *)
 
 open Dice_inet
 open Dice_concolic
@@ -58,9 +69,12 @@ val established_peers : t -> Ipv4.t list
 (** {1 RIB inspection} *)
 
 val loc_rib : t -> Rib.Loc.t
-val adj_rib_in : t -> Ipv4.t -> Rib.Adj.t option
-val adj_rib_out : t -> Ipv4.t -> Rib.Adj.t option
 val best_route : t -> Prefix.t -> Rib.Loc.entry option
+
+val learned_from : t -> peer:Ipv4.t -> Prefix.t -> bool
+(** Whether the session holds an announcement for the prefix (its
+    Adj-RIB-In has it); [false] for an unknown peer. *)
+
 val updates_processed : t -> int
 (** UPDATE messages fully processed since creation (throughput metric). *)
 
@@ -104,8 +118,8 @@ val restore : Config_types.t -> bytes -> t
 
 val clone : t -> t
 (** An independent in-process copy sharing all RIB storage with the
-    live router: the Loc-RIB, every Adj-RIB-In/Out and the static table
-    are persistent tries, so the clone holds references — no
+    live router: the Loc-RIB and the network table are persistent tries
+    of immutable entries, so the clone holds references — no
     serialization. Mutating either side copies only the touched path
     ({!Dice_inet.Prefix_trie} structural sharing); everything else stays
     physically shared. This is the checkpoint and explorer-clone path:

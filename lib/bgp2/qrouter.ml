@@ -126,16 +126,17 @@ let export_to ~ctx t (dst : peer_st) prefix best =
 let export_all ~ctx t prefix best =
   Hashtbl.fold (fun _ dst acc -> acc @ export_to ~ctx t dst prefix best) t.peers []
 
-let reconsider ~ctx t prefix =
-  let old_best = Hashtbl.find_opt t.main prefix in
+(* Decide [prefix] again; [old_best] is its installed best. Returns the
+   traffic and the best now installed. *)
+let reconsider ~ctx t prefix old_best =
   let new_best = decide t prefix in
   if Pipeline.best_changed old_best new_best then begin
     (match new_best with
     | Some e -> Hashtbl.replace t.main prefix e
     | None -> Hashtbl.remove t.main prefix);
-    export_all ~ctx t prefix new_best
+    (export_all ~ctx t prefix new_best, new_best)
   end
-  else []
+  else ([], old_best)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: administratively established, no FSM.                     *)
@@ -158,7 +159,9 @@ let session_clear ~ctx t (p : peer_st) =
   p.up <- false;
   Hashtbl.reset p.rin;
   Hashtbl.reset p.rout;
-  List.concat_map (fun prefix -> reconsider ~ctx t prefix) prefixes
+  List.concat_map
+    (fun prefix -> fst (reconsider ~ctx t prefix (Hashtbl.find_opt t.main prefix)))
+    prefixes
 
 (* ------------------------------------------------------------------ *)
 (* Import path                                                         *)
@@ -172,9 +175,9 @@ let import_concolic ~ctx t ~peer croute =
      instrument. *)
   Pipeline.import ~ctx t.cfg p.pcfg croute ~best:(Hashtbl.find_opt t.main)
     ~probe:(fun _ _ -> ())
-    ~learn:(fun prefix route ->
+    ~learn:(fun prefix route old_best ->
       Hashtbl.replace p.rin prefix route;
-      reconsider ~ctx t prefix)
+      reconsider ~ctx t prefix old_best)
 
 let process_update ~ctx t ~peer u =
   let p = peer_exn t peer in
@@ -184,7 +187,7 @@ let process_update ~ctx t ~peer u =
       if not (Hashtbl.mem p.rin prefix) then []
       else begin
         Hashtbl.remove p.rin prefix;
-        reconsider ~ctx t prefix
+        fst (reconsider ~ctx t prefix (Hashtbl.find_opt t.main prefix))
       end)
     ~tick:(fun () -> t.updates <- t.updates + 1)
 

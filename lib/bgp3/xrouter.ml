@@ -174,8 +174,9 @@ let export_to ~ctx t (p : peer_st) prefix best =
       [ msg ]
   end
 
-let reconsider ~ctx t prefix =
-  let old_best = Rib.Loc.find_opt prefix t.main in
+(* Decide [prefix] again; [old_best] is its installed best. Returns the
+   traffic and the best now installed. *)
+let reconsider ~ctx t prefix old_best =
   let new_best = decide t prefix in
   if Pipeline.best_changed old_best new_best then begin
     (* materialize pending RibOuts against the pre-change table, then
@@ -184,9 +185,9 @@ let reconsider ~ctx t prefix =
     (match new_best with
     | Some e -> t.main <- Rib.Loc.set prefix e t.main
     | None -> t.main <- Rib.Loc.remove prefix t.main);
-    List.concat_map (fun (_, p) -> export_to ~ctx t p prefix new_best) t.peers
+    (List.concat_map (fun (_, p) -> export_to ~ctx t p prefix new_best) t.peers, new_best)
   end
-  else []
+  else ([], old_best)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: administratively established, no FSM.                     *)
@@ -201,7 +202,9 @@ let session_clear ~ctx t (p : peer_st) =
   p.up <- false;
   p.rin <- Rib.Adj.empty;
   p.rout <- None;
-  List.concat_map (fun prefix -> reconsider ~ctx t prefix) prefixes
+  List.concat_map
+    (fun prefix -> fst (reconsider ~ctx t prefix (Rib.Loc.find_opt prefix t.main)))
+    prefixes
 
 (* ------------------------------------------------------------------ *)
 (* Import path                                                         *)
@@ -215,9 +218,9 @@ let import_concolic ~ctx t ~peer croute =
   Pipeline.import ~ctx t.cfg p.pcfg croute
     ~best:(fun prefix -> Rib.Loc.find_opt prefix t.main)
     ~probe:(fun _ _ -> ())
-    ~learn:(fun prefix route ->
+    ~learn:(fun prefix route old_best ->
       p.rin <- Rib.Adj.add prefix route p.rin;
-      reconsider ~ctx t prefix)
+      reconsider ~ctx t prefix old_best)
 
 let process_update ~ctx t ~peer u =
   let p = peer_exn t peer in
@@ -227,7 +230,7 @@ let process_update ~ctx t ~peer u =
       if Rib.Adj.find_opt prefix p.rin = None then []
       else begin
         p.rin <- Rib.Adj.remove prefix p.rin;
-        reconsider ~ctx t prefix
+        fst (reconsider ~ctx t prefix (Rib.Loc.find_opt prefix t.main))
       end)
     ~tick:(fun () -> t.updates <- t.updates + 1)
 

@@ -49,10 +49,7 @@ module Bird = struct
   let loc_rib = Router.loc_rib
   let best_route = Router.best_route
 
-  let learned_from t ~peer prefix =
-    match Router.adj_rib_in t peer with
-    | Some adj -> Rib.Adj.find_opt prefix adj <> None
-    | None -> false
+  let learned_from = Router.learned_from
 
   let updates_processed = Router.updates_processed
 

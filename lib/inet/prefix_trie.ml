@@ -2,11 +2,19 @@
    represents; children hold strictly longer prefixes that agree with the
    parent's bits and differ at bit [len parent]: [left] for a 0 bit, [right]
    for 1. A node either carries a value, or is a fork with two non-empty
-   children (internal join points are never kept when redundant). *)
+   children (internal join points are never kept when redundant). A node
+   holds its prefix packed into one int, [key], so a walk reads one block
+   per node, not two; the prefixes a query returns are built from it. *)
 
 type 'a t =
   | Empty
-  | Node of { prefix : Prefix.t; value : 'a option; left : 'a t; right : 'a t; count : int }
+  | Node of { key : int; left : 'a t; right : 'a t; value : 'a option; count : int }
+
+(* [key]: the network above six bits of length *)
+let key (p : Prefix.t) = (p.network lsl 6) lor p.len
+let net k = k lsr 6
+let len k = k land 63
+let prefix_of k = Prefix.make (net k) (len k)
 
 let empty = Empty
 
@@ -20,17 +28,17 @@ let cardinal = function
 
 let count_of = cardinal
 
-let mk prefix value left right =
+let mk key value left right =
   let c = (match value with Some _ -> 1 | None -> 0) + count_of left + count_of right in
-  Node { prefix; value; left; right; count = c }
+  Node { key; value; left; right; count = c }
 
 (* Rebuild a node, collapsing it if it carries no value and has at most one
    child (path compression). *)
-let node prefix value left right =
+let node key value left right =
   match (value, left, right) with
   | None, Empty, Empty -> Empty
   | None, (Node _ as child), Empty | None, Empty, (Node _ as child) -> child
-  | Some _, _, _ | None, Node _, Node _ -> mk prefix value left right
+  | Some _, _, _ | None, Node _, Node _ -> mk key value left right
 
 (* Bit arithmetic on the networks as native ints (an [Ipv4.t] is an int in
    [0, 2^32)); bit 0 is the most significant bit of the 32-bit word. *)
@@ -53,36 +61,36 @@ let clz32 x =
   let n = if z then n + 2 else n and x = if z then x lsl 2 else x in
   if x land 0x80000000 = 0 then n + 1 else n
 
-(* Length of the longest common prefix of [p] and [q]. *)
-let common_len (p : Prefix.t) (q : Prefix.t) =
-  let limit = Int.min p.len q.len in
-  let diff = p.network lxor q.network in
+(* Length of the longest common prefix of two (network, length) pairs. *)
+let common_len a alen b blen =
+  let limit = Int.min alen blen in
+  let diff = a lxor b in
   if diff = 0 then limit else Int.min limit (clz32 diff)
 
-(* Bit [i] of prefix [q]'s network address (valid for i < 32, even beyond
-   [len q] since the tail is zero — callers only use i < len q). *)
-let qbit (q : Prefix.t) i = bit q.network i
+(* Network bits past a prefix's length are zero, so [bit] of a network
+   is valid for any i < 32; callers only ask below the length. *)
 
-let rec add p v t =
+let rec add (p : Prefix.t) v t =
   match t with
-  | Empty -> mk p (Some v) Empty Empty
+  | Empty -> mk (key p) (Some v) Empty Empty
   | Node n ->
-    if Prefix.equal p n.prefix then mk p (Some v) n.left n.right
+    if n.key = key p then mk n.key (Some v) n.left n.right
     else begin
-      let c = common_len p n.prefix in
-      if c = Prefix.len n.prefix then
-        (* p is strictly below n.prefix *)
-        if qbit p (Prefix.len n.prefix) then mk n.prefix n.value n.left (add p v n.right)
-        else mk n.prefix n.value (add p v n.left) n.right
-      else if c = Prefix.len p then
-        (* n.prefix is strictly below p: insert p above n *)
-        if qbit n.prefix (Prefix.len p) then mk p (Some v) Empty t
-        else mk p (Some v) t Empty
+      let nlen = len n.key in
+      let c = common_len p.network p.len (net n.key) nlen in
+      if c = nlen then
+        (* p is strictly below n *)
+        if bit p.network nlen then mk n.key n.value n.left (add p v n.right)
+        else mk n.key n.value (add p v n.left) n.right
+      else if c = p.len then
+        (* n is strictly below p: insert p above n *)
+        if bit (net n.key) p.len then mk (key p) (Some v) Empty t
+        else mk (key p) (Some v) t Empty
       else begin
         (* fork at the common prefix *)
-        let join = Prefix.make (Prefix.network p) c in
-        let leaf = mk p (Some v) Empty Empty in
-        if qbit p c then mk join None t leaf else mk join None leaf t
+        let join = key (Prefix.make p.network c) in
+        let leaf = mk (key p) (Some v) Empty Empty in
+        if bit p.network c then mk join None t leaf else mk join None leaf t
       end
     end
 
@@ -92,21 +100,21 @@ let rec remove (p : Prefix.t) t =
   match t with
   | Empty -> Empty
   | Node n ->
-    let q = n.prefix in
-    if q.len = p.len && q.network = p.network then node q None n.left n.right
-    else if q.len < p.len && agree p.network q.network q.len then
-      if bit p.network q.len then node q n.value n.left (remove p n.right)
-      else node q n.value (remove p n.left) n.right
+    let nlen = len n.key in
+    if n.key = key p then node n.key None n.left n.right
+    else if nlen < p.len && agree p.network (net n.key) nlen then
+      if bit p.network nlen then node n.key n.value n.left (remove p n.right)
+      else node n.key n.value (remove p n.left) n.right
     else t
 
 let rec find_opt (p : Prefix.t) t =
   match t with
   | Empty -> None
   | Node n ->
-    let q = n.prefix in
-    if q.len = p.len && q.network = p.network then n.value
-    else if q.len < p.len && agree p.network q.network q.len then
-      find_opt p (if bit p.network q.len then n.right else n.left)
+    let nlen = len n.key in
+    if n.key = key p then n.value
+    else if nlen < p.len && agree p.network (net n.key) nlen then
+      find_opt p (if bit p.network nlen then n.right else n.left)
     else None
 
 let mem p t = find_opt p t <> None
@@ -121,28 +129,28 @@ let longest_match addr t =
     match t with
     | Empty -> best
     | Node n ->
-      let q = n.prefix in
-      if agree addr q.network q.len then begin
+      let nlen = len n.key in
+      if agree addr (net n.key) nlen then begin
         let best =
           match n.value with
-          | Some v -> Some (q, v)
+          | Some v -> Some (n.key, v)
           | None -> best
         in
-        if q.len >= 32 then best else go best (if bit addr q.len then n.right else n.left)
+        if nlen >= 32 then best else go best (if bit addr nlen then n.right else n.left)
       end
       else best
   in
-  go None t
+  Option.map (fun (k, v) -> (prefix_of k, v)) (go None t)
 
 let descent addr t =
   let rec go acc t =
     match t with
     | Empty -> List.rev acc
     | Node n ->
-      let q = n.prefix in
-      let acc = (q, n.value <> None) :: acc in
-      if q.len < 32 && agree addr q.network q.len then
-        go acc (if bit addr q.len then n.right else n.left)
+      let nlen = len n.key in
+      let acc = (prefix_of n.key, n.value <> None) :: acc in
+      if nlen < 32 && agree addr (net n.key) nlen then
+        go acc (if bit addr nlen then n.right else n.left)
       else List.rev acc
   in
   go [] t
@@ -152,15 +160,15 @@ let covering (p : Prefix.t) t =
     match t with
     | Empty -> List.rev acc
     | Node n ->
-      let q = n.prefix in
-      if q.len <= p.len && agree p.network q.network q.len then begin
+      let nlen = len n.key in
+      if nlen <= p.len && agree p.network (net n.key) nlen then begin
         let acc =
           match n.value with
-          | Some v -> (q, v) :: acc
+          | Some v -> (prefix_of n.key, v) :: acc
           | None -> acc
         in
-        if q.len = p.len then List.rev acc
-        else go acc (if bit p.network q.len then n.right else n.left)
+        if nlen = p.len then List.rev acc
+        else go acc (if bit p.network nlen then n.right else n.left)
       end
       else List.rev acc
   in
@@ -172,7 +180,7 @@ let rec fold f t acc =
   | Node n ->
     let acc =
       match n.value with
-      | Some v -> f n.prefix v acc
+      | Some v -> f (prefix_of n.key) v acc
       | None -> acc
     in
     fold f n.right (fold f n.left acc)
@@ -183,11 +191,11 @@ let covered (p : Prefix.t) t =
     match t with
     | Empty -> []
     | Node n ->
-      let q = n.prefix in
-      if q.len >= p.len && agree q.network p.network p.len then
+      let nlen = len n.key in
+      if nlen >= p.len && agree (net n.key) p.network p.len then
         List.rev (fold (fun q v acc -> (q, v) :: acc) t [])
-      else if q.len < p.len && agree p.network q.network q.len then
-        go (if bit p.network q.len then n.right else n.left)
+      else if nlen < p.len && agree p.network (net n.key) nlen then
+        go (if bit p.network nlen then n.right else n.left)
       else []
   in
   go t
@@ -203,7 +211,7 @@ let rec map f t =
   | Empty -> Empty
   | Node n ->
     Node
-      { prefix = n.prefix;
+      { key = n.key;
         value = Option.map f n.value;
         left = map f n.left;
         right = map f n.right;
@@ -237,27 +245,27 @@ let diff eq a b =
       | Empty, _ -> fold came b acc
       | _, Empty -> fold gone a acc
       | Node x, Node y ->
-        let lx = Prefix.len x.prefix and ly = Prefix.len y.prefix in
-        let c = common_len x.prefix y.prefix in
+        let lx = len x.key and ly = len y.key in
+        let c = common_len (net x.key) lx (net y.key) ly in
         if c = lx && c = ly then begin
           let acc =
             match (x.value, y.value) with
             | None, None -> acc
             | Some v, Some w when v == w || eq v w -> acc
-            | va, vb -> (x.prefix, va, vb) :: acc
+            | va, vb -> (prefix_of x.key, va, vb) :: acc
           in
           go x.right y.right (go x.left y.left acc)
         end
         else if c = lx then
           (* [b] lies strictly below [x], in one of its children *)
-          let acc = own gone x.prefix x.value acc in
-          if qbit y.prefix lx then go x.right b (go x.left Empty acc)
+          let acc = own gone (prefix_of x.key) x.value acc in
+          if bit (net y.key) lx then go x.right b (go x.left Empty acc)
           else go x.right Empty (go x.left b acc)
         else if c = ly then
-          let acc = own came y.prefix y.value acc in
-          if qbit x.prefix ly then go a y.right (go Empty y.left acc)
+          let acc = own came (prefix_of y.key) y.value acc in
+          if bit (net x.key) ly then go a y.right (go Empty y.left acc)
           else go Empty y.right (go a y.left acc)
-        else if qbit x.prefix c then fold gone a (fold came b acc)
+        else if bit (net x.key) c then fold gone a (fold came b acc)
         else fold came b (fold gone a acc)
   in
   List.rev (go a b [])
@@ -275,13 +283,13 @@ let shared_nodes a b =
      [b] that is physically ([==]) a subtree of [a] contributes its whole
      subtree (physical equality is hereditary — a shared block's children
      are reachable from [a] too) and the walk stops there. *)
-  let tbl : (Prefix.t, 'a t list) Hashtbl.t = Hashtbl.create 256 in
+  let tbl : (int, 'a t list) Hashtbl.t = Hashtbl.create 256 in
   let rec index t =
     match t with
     | Empty -> ()
     | Node n ->
-      let bucket = match Hashtbl.find_opt tbl n.prefix with Some l -> l | None -> [] in
-      Hashtbl.replace tbl n.prefix (t :: bucket);
+      let bucket = match Hashtbl.find_opt tbl n.key with Some l -> l | None -> [] in
+      Hashtbl.replace tbl n.key (t :: bucket);
       index n.left;
       index n.right
   in
@@ -291,7 +299,7 @@ let shared_nodes a b =
     | Empty -> acc
     | Node n ->
       let hit =
-        match Hashtbl.find_opt tbl n.prefix with
+        match Hashtbl.find_opt tbl n.key with
         | Some bucket -> List.exists (fun x -> x == t) bucket
         | None -> false
       in

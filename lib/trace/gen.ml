@@ -148,29 +148,28 @@ let generate p =
     duration = p.duration;
   }
 
-let route_attrs ~next_hop (e : entry) =
+let update_of_entry ~next_hop (e : entry) =
   let open Dice_bgp in
-  let base =
-    [ Attr.Origin e.origin;
-      Attr.As_path [ Dice_inet.Asn.Path.Seq e.as_path ];
-      Attr.Next_hop next_hop ]
+  let attrs =
+    [ Attr.Origin e.origin; Attr.As_path [ Dice_inet.Asn.Path.Seq e.as_path ]; Attr.Next_hop next_hop ]
   in
-  match e.med with
-  | Some m -> base @ [ Attr.Med m ]
-  | None -> base
+  let attrs =
+    match e.med with
+    | Some m -> attrs @ [ Attr.Med m ]
+    | None -> attrs
+  in
+  Msg.Update { withdrawn = []; attrs; nlri = [ e.prefix ] }
 
-let to_updates t ~peer_as ~next_hop =
-  ignore peer_as;
+let to_updates (t : t) ~peer_as ~next_hop =
+  (* the sending session's AS takes the collector's place at the head *)
+  let from_peer = function
+    | first :: rest when first = t.collector_as -> peer_as :: rest
+    | path -> peer_as :: path
+  in
   Array.to_list
-    (Array.map
-       (fun e ->
-         Dice_bgp.Msg.Update
-           { withdrawn = []; attrs = route_attrs ~next_hop e; nlri = [ e.prefix ] })
-       t.dump)
+    (Array.map (fun e -> update_of_entry ~next_hop { e with as_path = from_peer e.as_path }) t.dump)
 
 let event_update ~entry_next_hop = function
-  | Announce { entry; _ } ->
-    Dice_bgp.Msg.Update
-      { withdrawn = []; attrs = route_attrs ~next_hop:entry_next_hop entry; nlri = [ entry.prefix ] }
+  | Announce { entry; _ } -> update_of_entry ~next_hop:entry_next_hop entry
   | Withdraw { prefix; _ } ->
     Dice_bgp.Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] }

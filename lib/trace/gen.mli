@@ -49,9 +49,17 @@ val default_params : params
 
 val generate : params -> t
 
+val update_of_entry : next_hop:Ipv4.t -> entry -> Dice_bgp.Msg.t
+(** One entry announced as an UPDATE: ORIGIN, AS_PATH, NEXT_HOP and,
+    when the entry has one, MED, in that order. *)
+
 val to_updates : t -> peer_as:int -> next_hop:Ipv4.t -> Dice_bgp.Msg.t list
 (** The dump as a list of UPDATE messages (one prefix per message, like a
-    real table transfer), announced by the collector peer. *)
+    real table transfer), announced by the session of AS [peer_as]: each
+    path starts with [peer_as], which takes the place of the collector
+    AS at its head. Passing the trace's [collector_as] sends the dump as
+    recorded. *)
 
 val event_update : entry_next_hop:Ipv4.t -> event -> Dice_bgp.Msg.t
-(** One trace event as an UPDATE message. *)
+(** One trace event as an UPDATE message ({!update_of_entry} for an
+    announcement). *)

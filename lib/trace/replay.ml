@@ -1,4 +1,3 @@
-open Dice_inet
 module Router = Dice_bgp.Router
 
 type progress = {
@@ -38,18 +37,7 @@ let schedule net ~from_node ~to_node ?(start_at = 0.0) ?(dump_pace = 0.001) ~nex
   let count = ref 0 in
   Array.iteri
     (fun i e ->
-      let msg =
-        Dice_bgp.Msg.Update
-          {
-            withdrawn = [];
-            attrs =
-              [ Dice_bgp.Attr.Origin e.Gen.origin;
-                Dice_bgp.Attr.As_path [ Asn.Path.Seq e.Gen.as_path ];
-                Dice_bgp.Attr.Next_hop next_hop ]
-              @ (match e.Gen.med with Some m -> [ Dice_bgp.Attr.Med m ] | None -> []);
-            nlri = [ e.Gen.prefix ];
-          }
-      in
+      let msg = Gen.update_of_entry ~next_hop e in
       let when_ = start_at +. (float_of_int i *. dump_pace) in
       Net.schedule_at net ~time:(max (Net.now net) when_) (fun () ->
           Net.send net ~src:from_node ~dst:to_node (Dice_bgp.Router_node.frame_bgp msg));

@@ -93,12 +93,53 @@ let test_export_all () =
   Alcotest.(check (list string)) "both cross" [ "10.1.0.0/16"; "10.2.3.0/24" ] announced
 
 let test_adj_rib_out_tracks_exports () =
-  let r, _ = exporting_router "export filter no_long;" in
-  match Router.adj_rib_out r (ip "10.0.0.2") with
-  | Some adj ->
-    Alcotest.(check int) "one entry" 1 (Rib.Adj.cardinal adj);
-    Alcotest.(check bool) "the /16" true (Rib.Adj.find_opt (p "10.1.0.0/16") adj <> None)
-  | None -> Alcotest.fail "expected an adj-rib-out"
+  (* what a session was sent decides what it is told next: a new best
+     whose advertisement is unchanged (eBGP strips the MED) sends
+     nothing, and a withdrawal reaches it only for what it was sent *)
+  let r =
+    Router.create
+      (Config_parser.parse
+         {|
+         router id 10.0.0.1;
+         local as 65001;
+         filter no_long { if net.len > 16 then reject; accept; }
+         protocol bgp src { neighbor 10.0.0.3 as 65003; import all; export none; }
+         protocol bgp out { neighbor 10.0.0.2 as 65002; import all; export filter no_long; }
+         |})
+  in
+  List.iter
+    (fun (peer, asn) ->
+      ignore (Router.handle_event r ~peer Fsm.Manual_start);
+      ignore (Router.handle_event r ~peer Fsm.Tcp_connected);
+      ignore
+        (Router.handle_msg r ~peer
+           (Msg.Open
+              { Msg.version = 4; my_as = asn; hold_time = 90; bgp_id = peer;
+                capabilities = [ Msg.Cap_as4 asn ] }));
+      ignore (Router.handle_msg r ~peer Msg.Keepalive))
+    [ (ip "10.0.0.3", 65003); (ip "10.0.0.2", 65002) ];
+  let nets = [ p "10.1.0.0/16"; p "10.2.3.0/24" ] in
+  let told u =
+    List.filter_map
+      (function
+        | Router.To_peer (dst, Msg.Update u) when dst = ip "10.0.0.2" ->
+          Some (List.map Prefix.to_string u.Msg.nlri, List.map Prefix.to_string u.Msg.withdrawn)
+        | _ -> None)
+      (Router.handle_msg r ~peer:(ip "10.0.0.3") (Msg.Update u))
+  in
+  let announce med =
+    told
+      { withdrawn = [];
+        attrs =
+          [ Attr.Origin Attr.Igp; Attr.As_path [ Asn.Path.Seq [ 65003 ] ];
+            Attr.Next_hop (ip "10.0.0.3"); Attr.Med med ];
+        nlri = nets }
+  in
+  let pair = Alcotest.(list (pair (list string) (list string))) in
+  Alcotest.check pair "only the /16 is sent" [ ([ "10.1.0.0/16" ], []) ] (announce 5);
+  Alcotest.check pair "a new MED sends nothing" [] (announce 7);
+  Alcotest.check pair "only the /16 is withdrawn" [ ([], [ "10.1.0.0/16" ]) ]
+    (told { withdrawn = nets; attrs = []; nlri = [] })
 
 (* ---- trace withdraw bookkeeping ---- *)
 

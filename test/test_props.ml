@@ -121,15 +121,23 @@ let prop_loc_rib_consistent_with_adj =
     ~count:60 arb_op (fun ops ->
       let r = ready () in
       List.iter (apply_op r) ops;
-      let adj_a = Option.value (Router.adj_rib_in r peer_a) ~default:Rib.Adj.empty in
-      let adj_b = Option.value (Router.adj_rib_in r peer_b) ~default:Rib.Adj.empty in
+      (* each session's last word on each prefix *)
+      let last = Hashtbl.create 64 in
+      List.iter
+        (function
+          | Announce (pi, prefix, origin, med) -> Hashtbl.replace last (pi, prefix) (origin, med)
+          | Withdraw (pi, prefix) -> Hashtbl.remove last (pi, prefix))
+        ops;
       List.for_all
         (fun (prefix, (e : Rib.Loc.entry)) ->
           if e.Rib.Loc.src = Route.static_src then true
           else begin
-            let adj = if e.Rib.Loc.src.Route.peer_addr = peer_a then adj_a else adj_b in
-            match Rib.Adj.find_opt prefix adj with
-            | Some route -> Route.equal route e.Rib.Loc.route
+            let peer = e.Rib.Loc.src.Route.peer_addr in
+            let route = e.Rib.Loc.route in
+            Router.learned_from r ~peer prefix
+            &&
+            match Hashtbl.find_opt last ((if peer = peer_a then 0 else 1), prefix) with
+            | Some (origin, med) -> Route.origin_as route = Some origin && route.Route.med = med
             | None -> false
           end)
         (Rib.Loc.to_list (Router.loc_rib r)))
@@ -258,10 +266,7 @@ let prop_import_concolic_matches_concrete_processing =
       let best r = Option.map (fun (e : Rib.Loc.entry) -> e.Rib.Loc.route) (Router.best_route r prefix) in
       best via_msg = best via_concolic
       && outcome.Import.accepted = (best via_msg <> None && Router.best_route via_msg prefix <> None
-                                    || Rib.Adj.find_opt prefix
-                                         (Option.value (Router.adj_rib_in via_msg peer_a)
-                                            ~default:Rib.Adj.empty)
-                                       <> None))
+                                    || Router.learned_from via_msg ~peer:peer_a prefix))
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_snapshot_roundtrip_after_ops;

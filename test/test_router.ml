@@ -383,6 +383,191 @@ let test_import_concolic_records_constraints () =
   Alcotest.(check bool) "path constraints recorded" true
     (Dice_concolic.Path.length (Engine.path ctx) > 0)
 
+(* ---- behaviour pin across table layouts ---- *)
+
+(* One router with three sessions (a filtered eBGP customer, an eBGP
+   transit that exports only short prefixes, an iBGP peer) and two
+   statics, driven by a seeded message stream. Everything it says and
+   every image it makes is hashed, so a table rewrite that changes an
+   output, its order, a slot or a patch byte shows here. *)
+let pin_config () =
+  Config_parser.parse
+    {|
+    router id 10.0.0.1;
+    local as 64510;
+    filter cust_in {
+      if net ~ [ 100.64.0.0/10{10,24} ] then { bgp_local_pref = 120; accept; }
+      if bgp_med > 150 then reject;
+      accept;
+    }
+    filter short_only { if net.len > 22 then reject; accept; }
+    protocol static { route 192.0.2.0/24 via 10.0.0.1; route 100.64.4.0/24 via 10.0.0.1; }
+    protocol bgp customer { neighbor 10.0.1.2 as 64501; import filter cust_in; export all; }
+    protocol bgp transit { neighbor 10.0.2.2 as 64700; import all; export filter short_only; }
+    protocol bgp inside { neighbor 10.0.3.2 as 64510; import all; export all; }
+    |}
+
+let pin_peers = [| (customer, 64501); (transit, 64700); (ip "10.0.3.2", 64510) |]
+
+(* 96 prefixes over three /16s, lengths 16 to 24, so they nest *)
+let pin_prefixes =
+  Array.init 96 (fun i ->
+      let base = [| 0x64400000; 0x64410000; 0xC6120000 |].(i mod 3) in
+      let len = 16 + (i * 7 mod 9) in
+      let net = base lor ((i * 2654435761) land 0xFFFF) in
+      Prefix.make (net land (0xFFFFFFFF lsl (32 - len)) land 0xFFFFFFFF) len)
+
+type pin_op =
+  | Pin_announce of int * int list * int  (* peer, prefix indices, attribute seed *)
+  | Pin_withdraw of int * int list
+  | Pin_malformed of int * int  (* UPDATE without NEXT_HOP: treat-as-withdraw *)
+  | Pin_bounce of int  (* NOTIFICATION, then the session comes back *)
+
+let pin_attrs peer seed =
+  let remote_as = snd pin_peers.(peer) in
+  let hop k = 65000 + ((seed lsr (3 * k)) land 15) in
+  let tail = List.init (1 + (seed land 3)) hop in
+  let tail = if seed mod 53 = 0 then tail @ [ 64510 ] else tail in
+  let path = if remote_as = 64510 then tail else remote_as :: tail in
+  [ Attr.Origin [| Attr.Igp; Attr.Egp; Attr.Incomplete |].(seed / 7 mod 3);
+    Attr.As_path [ Asn.Path.Seq path ];
+    Attr.Next_hop (fst pin_peers.(peer)) ]
+  @ (if seed mod 4 = 0 then [ Attr.Med (seed / 11 mod 200) ] else [])
+  @ (if remote_as = 64510 then [ Attr.Local_pref (80 + (seed / 13 mod 60)) ] else [])
+  @ if seed mod 17 = 0 then [ Attr.Communities [ Community.no_export ] ] else []
+
+(* Feed one operation; every output it produces, in order. *)
+let pin_apply r op =
+  let addr peer = fst pin_peers.(peer) in
+  let update peer u = Router.handle_msg r ~peer:(addr peer) (Msg.Update u) in
+  let nets = List.map (fun i -> pin_prefixes.(i)) in
+  match op with
+  | Pin_announce (peer, ps, seed) ->
+    update peer { withdrawn = []; attrs = pin_attrs peer seed; nlri = nets ps }
+  | Pin_withdraw (peer, ps) -> update peer { withdrawn = nets ps; attrs = []; nlri = [] }
+  | Pin_malformed (peer, i) ->
+    let attrs = List.filter (function Attr.Next_hop _ -> false | _ -> true) (pin_attrs peer i) in
+    update peer { withdrawn = []; attrs; nlri = [ pin_prefixes.(i) ] }
+  | Pin_bounce peer ->
+    let down =
+      Router.handle_msg r ~peer:(addr peer)
+        (Msg.Notification { Msg.code = 6; subcode = 4; data = Bytes.empty })
+    in
+    let up = establish r (addr peer) (snd pin_peers.(peer)) in
+    down @ up
+
+let pin_ready () =
+  let r = Router.create (pin_config ()) in
+  Array.iter (fun (peer, remote_as) -> ignore (establish r peer remote_as)) pin_peers;
+  r
+
+let render_output buf o =
+  let tag c a =
+    Buffer.add_char buf c;
+    Buffer.add_string buf (Ipv4.to_string a)
+  in
+  match o with
+  | Router.To_peer (a, m) ->
+    tag 'T' a;
+    Buffer.add_bytes buf (Msg.encode m)
+  | Router.Connect_request a -> tag 'C' a
+  | Router.Close_connection a -> tag 'X' a
+  | Router.Set_timer (a, tm, d) ->
+    tag 'S' a;
+    Buffer.add_string buf (Printf.sprintf "%d/%g" (Hashtbl.hash tm) d)
+  | Router.Clear_timer (a, tm) ->
+    tag 'K' a;
+    Buffer.add_string buf (string_of_int (Hashtbl.hash tm))
+  | Router.Session_up a -> tag 'U' a
+  | Router.Session_down (a, why) ->
+    tag 'D' a;
+    Buffer.add_string buf why
+
+(* [base_image] patched by [snapshot_patch]'s writes *)
+let patched base_image (len, writes) =
+  let img = Bytes.make len '\000' in
+  Bytes.blit base_image 0 img 0 (Int.min len (Bytes.length base_image));
+  List.iter (fun (off, b) -> Bytes.blit b 0 img off (Bytes.length b)) writes;
+  img
+
+let test_bird_behaviour_pin () =
+  let state = ref 541 in
+  let draw n =
+    state := ((!state * 25214903917) + 11) land 0xFFFFFFFFFFFF;
+    (!state lsr 16) mod n
+  in
+  let prefixes () = List.init (1 + draw 3) (fun _ -> draw (Array.length pin_prefixes)) in
+  let r = pin_ready () in
+  let buf = Buffer.create (1 lsl 20) in
+  let base = ref (Router.clone r) in
+  let base_image = ref (Router.snapshot !base) in
+  let outputs = ref 0 in
+  for i = 1 to 3000 do
+    let peer = draw 3 in
+    let op =
+      if i = 1000 || i = 2200 then Pin_bounce (i / 1000)
+      else
+        match draw 20 with
+        | 0 -> Pin_malformed (peer, draw (Array.length pin_prefixes))
+        | k when k < 8 -> Pin_withdraw (peer, prefixes ())
+        | _ -> Pin_announce (peer, prefixes (), draw 1_000_000)
+    in
+    List.iter
+      (fun o ->
+        incr outputs;
+        render_output buf o)
+      (pin_apply r op);
+    if i mod 500 = 0 then begin
+      Buffer.add_string buf (Digest.to_hex (Digest.bytes (Router.snapshot r)));
+      let c = Router.clone r in
+      let len, writes = Router.snapshot_patch ~base:!base c in
+      let writes = List.sort (fun (a, _) (b, _) -> Int.compare a b) writes in
+      Buffer.add_string buf (string_of_int len);
+      List.iter
+        (fun (off, b) ->
+          Buffer.add_string buf (string_of_int off);
+          Buffer.add_bytes buf b)
+        writes;
+      let image = patched !base_image (len, writes) in
+      Alcotest.(check bytes)
+        (Printf.sprintf "patched image at %d is a snapshot" i)
+        (Router.snapshot (Router.clone c)) image;
+      base := c;
+      base_image := image
+    end
+  done;
+  Alcotest.(check bool) "the stream reached every kind of output" true (!outputs > 3000);
+  Alcotest.(check string) "outputs, snapshots and patches"
+    "3c3447c1fe6841998a6dbbbbdbd8b2c0" (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let arb_pin_ops =
+  let open QCheck.Gen in
+  let peer = int_bound 2 in
+  let nets = list_size (int_range 1 3) (int_bound (Array.length pin_prefixes - 1)) in
+  let op =
+    frequency
+      [ (10, map3 (fun pe ps s -> Pin_announce (pe, ps, s)) peer nets (int_bound 1_000_000));
+        (6, map2 (fun pe ps -> Pin_withdraw (pe, ps)) peer nets);
+        (1, map2 (fun pe i -> Pin_malformed (pe, i)) peer (int_bound (Array.length pin_prefixes - 1)));
+        (1, map (fun pe -> Pin_bounce pe) peer) ]
+  in
+  QCheck.make (pair (list_size (int_range 0 60) op) (list_size (int_range 0 60) op))
+
+let prop_bird_images =
+  QCheck.Test.make ~count:100
+    ~name:"BIRD restore re-snapshots byte-equal, and a clone's patch is its snapshot" arb_pin_ops
+    (fun (before, after) ->
+      let r = pin_ready () in
+      List.iter (fun op -> ignore (pin_apply r op)) before;
+      let image = Router.snapshot r in
+      let restored = Bytes.equal image (Router.snapshot (Router.restore (pin_config ()) image)) in
+      let base = Router.clone r in
+      let base_image = Router.snapshot base in
+      List.iter (fun op -> ignore (pin_apply r op)) after;
+      let c = Router.clone r in
+      let image = patched base_image (Router.snapshot_patch ~base c) in
+      restored && Bytes.equal image (Router.snapshot (Router.clone c)))
+
 let suite =
   [ ("create with statics", `Quick, test_create_with_statics);
     ("session establishment", `Quick, test_session_establishment);
@@ -410,5 +595,7 @@ let suite =
     ("concolic import reject", `Quick, test_import_concolic_reject);
     ("concolic import previous best", `Quick, test_import_concolic_previous_best);
     ("concolic import unknown peer", `Quick, test_import_concolic_unknown_peer);
-    ("concolic import records constraints", `Quick, test_import_concolic_records_constraints)
+    ("concolic import records constraints", `Quick, test_import_concolic_records_constraints);
+    ("BIRD behaviour pin", `Quick, test_bird_behaviour_pin);
+    QCheck_alcotest.to_alcotest prop_bird_images
   ]

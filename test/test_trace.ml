@@ -164,6 +164,26 @@ let test_gen_to_updates () =
       (Result.is_ok (Dice_bgp.Route.of_attrs u.Dice_bgp.Msg.attrs))
   | _ -> Alcotest.fail "expected updates"
 
+let test_gen_to_updates_peer_as () =
+  (* the sending session's AS starts every path, in the collector's place *)
+  let t = Gen.generate small_params in
+  let paths peer_as =
+    List.map
+      (function
+        | Dice_bgp.Msg.Update u -> (
+          match Dice_bgp.Route.of_attrs u.Dice_bgp.Msg.attrs with
+          | Ok r -> Asn.Path.as_list r.Dice_bgp.Route.as_path
+          | Error _ -> Alcotest.fail "undecodable route")
+        | _ -> Alcotest.fail "expected updates")
+      (Gen.to_updates t ~peer_as ~next_hop:(Ipv4.of_string "10.0.2.2"))
+  in
+  let recorded = Array.to_list (Array.map (fun e -> e.Gen.as_path) t.Gen.dump) in
+  Alcotest.(check (list (list int))) "the collector's AS: as recorded" recorded
+    (paths t.Gen.collector_as);
+  Alcotest.(check (list (list int))) "another AS takes its place"
+    (List.map (fun path -> 65123 :: List.tl path) recorded)
+    (paths 65123)
+
 (* ---- Mrt ---- *)
 
 let test_mrt_roundtrip () =
@@ -272,6 +292,7 @@ let suite =
     ("gen events chronological", `Quick, test_gen_events_chronological);
     ("gen dump is not one origin's", `Quick, test_gen_many_origins);
     ("gen to_updates", `Quick, test_gen_to_updates);
+    ("gen to_updates starts paths with peer_as", `Quick, test_gen_to_updates_peer_as);
     ("mrt roundtrip", `Quick, test_mrt_roundtrip);
     ("mrt corrupt rejected", `Quick, test_mrt_corrupt_rejected);
     ("mrt file io", `Quick, test_mrt_file_io);
