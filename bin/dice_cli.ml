@@ -906,7 +906,7 @@ let replay_divergence_cmd =
 
 (* ---------------- explore-filter ---------------- *)
 
-let explore_filter file runs incremental =
+let explore_filter file runs =
   let config = Config_parser.parse_file file in
   match config.Config_types.filters with
   | [] ->
@@ -922,19 +922,14 @@ let explore_filter file runs incremental =
     in
     let program ctx =
       let cr =
-        Symbolize.croute ctx ~tag:"in"
-          ~prefix:(Prefix.of_string "192.0.2.0/24")
-          ~route
+        Symbolize.croute ctx ~prefix:(Prefix.of_string "192.0.2.0/24") ~route
       in
       ignore
         (Filter_interp.run ctx ~source_as:64501
            ~local_as:config.Config_types.local_as filter cr)
     in
     let config =
-      { Dice_concolic.Explorer.default_config with
-        Dice_concolic.Explorer.max_runs = runs;
-        incremental;
-      }
+      { Dice_concolic.Explorer.default_config with Dice_concolic.Explorer.max_runs = runs }
     in
     let report = Dice_concolic.Explorer.explore ~config program in
     Format.printf "%a@." Dice_concolic.Explorer.pp_report report;
@@ -946,19 +941,10 @@ let explore_filter_cmd =
       required & pos 0 (some string) None
       & info [] ~docv:"CONFIG" ~doc:"Router configuration file.")
   in
-  let incremental =
-    Arg.(
-      value & opt bool true
-      & info [ "incremental" ]
-          ~doc:
-            "Solve negations incrementally from the parent run's environment \
-             (pass $(b,--incremental=false) to solve every query from scratch, \
-             for measurement).")
-  in
   Cmd.v
     (Cmd.info "explore-filter"
        ~doc:"Concolically explore the first filter of a configuration file.")
-    Term.(const explore_filter $ file $ runs_arg $ incremental)
+    Term.(const explore_filter $ file $ runs_arg)
 
 (* ---------------- overhead ---------------- *)
 

@@ -36,13 +36,13 @@ let () =
   in
   let program ctx =
     let cr =
-      Dice_core.Symbolize.croute ctx ~tag:"in"
+      Dice_core.Symbolize.croute ctx
         ~prefix:(Dice_inet.Prefix.of_string "10.1.2.0/24")
         ~route:base_route
     in
     (* MED is part of the symbolized inputs only when present; force it *)
     let cr =
-      Croute.with_med cr (Engine.input ctx ~name:"in.med" ~width:32 ~default:10L)
+      Croute.with_med cr (Engine.input ctx ~name:"med" ~width:32 ~default:10L)
     in
     ignore (Filter_interp.run ctx ~source_as:64501 ~local_as:64510 filter cr)
   in

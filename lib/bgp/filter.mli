@@ -73,9 +73,17 @@ type stmt =
 
 type t = { name : string; body : stmt list }
 
-val mk_if : filter_name:string -> cond -> stmt list -> stmt list -> stmt
-(** Build an [If] with a fresh stable site name
-    ["filter:<name>:if<k>"]. *)
+type if_sites
+(** The [If] numbering of one filter being built. *)
+
+val if_sites : string -> if_sites
+(** A fresh numbering for the filter of this name. *)
+
+val mk_if : if_sites -> cond -> stmt list -> stmt list -> stmt
+(** Build an [If] named ["filter:<name>:if<k>"], [k] counting the [If]s
+    this numbering has built before, so a filter's sites follow from its
+    construction alone: building the same filter twice names its sites
+    alike. *)
 
 val accept_all : string -> t
 val reject_all : string -> t

@@ -211,12 +211,13 @@ let terminal = function Permit -> Filter.Accept | Deny -> Filter.Reject
    with no predicates decides unconditionally — anything after it is
    unreachable and not emitted. *)
 let filter_of_policy t ~unstated (p : policy) =
+  let sites = Filter.if_sites p.policy_name in
   let rec stmts = function
     | [] -> [ terminal (Option.value p.default ~default:unstated) ]
     | r :: rest ->
       let arm = List.map stmt_of_action r.actions @ [ terminal r.decision ] in
       if r.matches = [] then arm
-      else Filter.mk_if ~filter_name:p.policy_name (cond_of_matches t r.matches) arm [] :: stmts rest
+      else Filter.mk_if sites (cond_of_matches t r.matches) arm [] :: stmts rest
   in
   { Filter.name = p.policy_name; body = stmts p.rules }
 

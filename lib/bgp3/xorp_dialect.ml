@@ -212,12 +212,13 @@ let parse_policy_statement st ~net_lists ~taken =
   (* XORP quirk: terms live in a name-keyed map, so evaluation order is
      lexicographic in the term name, whatever order the file wrote. *)
   let terms = List.sort (fun (a, _) (b, _) -> String.compare a b) (List.rev !terms) in
+  let sites = Filter.if_sites pname in
   let rec body = function
     | [] -> [ Filter.Accept ] (* XORP quirk: unmatched routes pass *)
     | (_, { conds = []; stmts }) :: _ -> stmts
     | (_, { conds = c :: cs; stmts }) :: rest ->
       let cond = List.fold_left (fun acc c -> Filter.And (acc, c)) c cs in
-      Filter.mk_if ~filter_name:pname cond stmts [] :: body rest
+      Filter.mk_if sites cond stmts [] :: body rest
   in
   { Filter.name = pname; body = body terms }
 

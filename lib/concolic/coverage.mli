@@ -5,8 +5,8 @@
     tell when a negation would open genuinely new territory and when the
     aggregate constraint set has converged.
 
-    Tables are safe to share between domains: every operation is serialized
-    on an internal per-table mutex. *)
+    A table belongs to one exploration: it is keyed by that exploration's
+    site ids, and written only by the domain that runs it. *)
 
 type t
 
@@ -18,17 +18,10 @@ val record : t -> Path.Site.t -> bool -> bool
 
 val covered : t -> Path.Site.t -> bool -> bool
 
-val fully_covered : t -> Path.Site.t -> bool
-(** Both directions seen. *)
-
-val hits : t -> Path.Site.t -> bool -> int
-(** How many times [record] has seen the (site, direction) pair — 0 when
-    never covered. On an exploration's table this is the frequency
-    across all of its runs. *)
-
 val hits_id : t -> int * bool -> int
-(** {!hits} keyed by raw (site id, direction) — the form path entries
-    carry. *)
+(** How many times [record] has seen the (site id, direction) pair — 0
+    when never covered. On an exploration's table this is the frequency
+    across all of its runs. *)
 
 val site_count : t -> int
 (** Number of distinct sites seen at least once. *)

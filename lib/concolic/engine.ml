@@ -1,42 +1,41 @@
 module Space = struct
   type t = {
-    lock : Mutex.t;  (* one space is shared by every run of an exploration,
-                        and its report may be read from another domain
-                        than the worker that explored it *)
-    by_name : (string, Sym.var) Hashtbl.t;
+    vars : (string, Sym.var) Hashtbl.t;
     mutable rev_names : string list;
+    sites : (string, Path.Site.t) Hashtbl.t;
   }
 
-  let create () =
-    { lock = Mutex.create (); by_name = Hashtbl.create 32; rev_names = [] }
-
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  let create () = { vars = Hashtbl.create 32; rev_names = []; sites = Hashtbl.create 64 }
 
   let var t ~name ~width =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.by_name name with
-        | Some v ->
-          if v.Sym.width <> width then
-            invalid_arg
-              (Printf.sprintf "Engine.Space.var: %s re-used with width %d (was %d)" name
-                 width v.Sym.width);
-          v
-        | None ->
-          let v = Sym.var ~name ~width in
-          Hashtbl.add t.by_name name v;
-          t.rev_names <- name :: t.rev_names;
-          v)
+    match Hashtbl.find_opt t.vars name with
+    | Some v ->
+      if v.Sym.width <> width then
+        invalid_arg
+          (Printf.sprintf "Engine.Space.var: %s re-used with width %d (was %d)" name width
+             v.Sym.width);
+      v
+    | None ->
+      let v = Sym.var ~id:(Hashtbl.length t.vars) ~name ~width in
+      Hashtbl.add t.vars name v;
+      t.rev_names <- name :: t.rev_names;
+      v
 
-  let find t name = locked t (fun () -> Hashtbl.find_opt t.by_name name)
+  let find t name = Hashtbl.find_opt t.vars name
 
-  let names t = locked t (fun () -> List.rev t.rev_names)
+  let names t = List.rev t.rev_names
+
+  let site t name =
+    match Hashtbl.find_opt t.sites name with
+    | Some s -> s
+    | None ->
+      let s = { Path.Site.id = Hashtbl.length t.sites; name } in
+      Hashtbl.add t.sites name s;
+      s
 end
 
 type ctx = {
-  recording : bool;
-  space : Space.t option;
+  space : Space.t option;  (* [None] exactly when not recording *)
   overrides : Sym.env;
   concrete_env : Sym.env;
   mutable rev_path : Path.entry list;
@@ -46,7 +45,6 @@ type ctx = {
 
 let create ?coverage ~space ~overrides () =
   {
-    recording = true;
     space = Some space;
     overrides;
     concrete_env = Hashtbl.create 16;
@@ -56,11 +54,10 @@ let create ?coverage ~space ~overrides () =
   }
 
 (* Shared by every non-recording caller, on any domain: [input],
-   [constrain] and [branch] write its fields only while recording, so
+   [constrain] and [branchf] write a context only while recording, so
    nothing ever writes it. *)
 let null =
   {
-    recording = false;
     space = None;
     overrides = Hashtbl.create 0;
     concrete_env = Hashtbl.create 0;
@@ -69,16 +66,12 @@ let null =
     coverage = None;
   }
 
-let recording t = t.recording
+let recording t = Option.is_some t.space
 
 let input t ~name ~width ~default =
-  if not t.recording then Cval.concrete ~width default
-  else begin
-    let space =
-      match t.space with
-      | Some s -> s
-      | None -> assert false
-    in
+  match t.space with
+  | None -> Cval.concrete ~width default
+  | Some space ->
     let v = Space.var space ~name ~width in
     let conc =
       match Hashtbl.find_opt t.overrides v.Sym.id with
@@ -87,15 +80,19 @@ let input t ~name ~width ~default =
     in
     Hashtbl.replace t.concrete_env v.Sym.id conc;
     Cval.symbolic v conc
-  end
 
 let constrain t expr ~nonzero =
-  if t.recording then
+  if recording t then
     t.rev_seeds <- { Path.expr; expected_nonzero = nonzero } :: t.rev_seeds
 
-let branch t site cond =
+(* Only a recording run interns the site, in its exploration's space; a
+   non-recording branch just evaluates. *)
+let branchf t name cond =
   let taken = Cval.bool_of cond in
-  if t.recording then begin
+  (match t.space with
+  | None -> ()
+  | Some space -> (
+    let site = Space.site space name in
     (match t.coverage with
     | Some cov -> ignore (Coverage.record cov site taken)
     | None -> ());
@@ -103,14 +100,8 @@ let branch t site cond =
     | Some expr ->
       t.rev_path <-
         { Path.site; constr = { Path.expr; expected_nonzero = taken } } :: t.rev_path
-    | None -> ()
-  end;
+    | None -> ()));
   taken
-
-(* Interning takes the process-global site lock, so only a recording run
-   pays for it; a non-recording branch just evaluates. *)
-let branchf t name cond =
-  if t.recording then branch t (Path.Site.intern name) cond else Cval.bool_of cond
 
 let env t = t.concrete_env
 

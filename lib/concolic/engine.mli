@@ -1,28 +1,36 @@
 (** The concolic execution runtime.
 
     Instrumented code receives a {!ctx} and routes its symbolic inputs
-    through {!input} and its conditionals through {!branch}. A non-recording
+    through {!input} and its conditionals through {!branchf}. A non-recording
     context (see {!null}) makes both operations near-free, which is how the
     live system runs with "virtually no overhead" while the instrumented
     behaviour is only engaged during exploration, off the critical path
     (paper §3.2). *)
 
 module Space : sig
-  (** The input space of one exploration: a stable mapping from input names
-      to symbolic variables, shared by every run so that constraints from
-      different runs talk about the same variables. *)
+  (** The names of one exploration: a stable mapping from input names to
+      symbolic variables and from branch-site names to sites, shared by
+      every run so that constraints and coverage from different runs talk
+      about the same variables and sites. Ids are positions (first-seen
+      order), so two explorations of the same program number alike. A
+      space belongs to the domain that runs its exploration. *)
 
   type t
 
   val create : unit -> t
 
   val var : t -> name:string -> width:int -> Sym.var
-  (** Memoized: the same name always yields the same variable.
+  (** Memoized: the same name always yields the same variable; the [k]-th
+      name registered gets id [k].
       @raise Invalid_argument if re-used with a different width. *)
 
   val find : t -> string -> Sym.var option
   val names : t -> string list
   (** Registered names in first-registration order. *)
+
+  val site : t -> string -> Path.Site.t
+  (** Intern a branch site: the same name always yields the same site;
+      the [k]-th name interned gets id [k]. *)
 end
 
 type ctx
@@ -51,15 +59,11 @@ val constrain : ctx -> Sym.t -> nonzero:bool -> unit
     [masklen <= 32]). Seed constraints prefix the path condition so the
     solver always respects them, but they are not negation candidates. *)
 
-val branch : ctx -> Path.Site.t -> Cval.t -> bool
-(** [branch ctx site cond] returns the concrete truth of [cond], recording
-    a path constraint if [cond] carries a symbolic shadow and coverage for
-    the site either way (when recording). *)
-
 val branchf : ctx -> string -> Cval.t -> bool
-(** [branch] with the site interned from a name — convenient at use sites.
-    The name is interned only while recording: a non-recording context
-    registers no site. *)
+(** [branchf ctx site cond] returns the concrete truth of [cond]. When
+    recording, it interns [site] in the context's {!Space} and records
+    coverage for it, plus a path constraint if [cond] carries a symbolic
+    shadow. A non-recording context interns nothing. *)
 
 val env : ctx -> Sym.env
 (** Concrete values the run's inputs actually had (by variable id) — the

@@ -5,7 +5,6 @@ type config = {
   max_runs : int;
   max_depth : int;
   solver_max_repairs : int;
-  incremental : bool;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     max_runs = 512;
     max_depth = 128;
     solver_max_repairs = 256;
-    incremental = true;
   }
 
 type run = {
@@ -234,18 +232,12 @@ let explore ?(config = default_config) program =
               it.parent_seeds @ List.map (fun en -> en.Path.constr) prefix
             in
             let negated = Path.negate e.Path.constr in
+            (* the parent's env satisfied the prefix when the parent ran
+               it, so the incremental solver can start repairing at the
+               negation instead of re-verifying the whole prefix *)
             let outcome =
-              if config.incremental then
-                (* the parent's env satisfied the prefix when the parent
-                   ran it, so the incremental solver can start repairing at
-                   the negation instead of re-verifying the whole prefix *)
-                Solver.Inc.solve ~stats:solver_stats
-                  ~max_repairs:config.solver_max_repairs ~parent:it.hint
-                  ~prefix:prefix_cs [ negated ]
-              else
-                Solver.solve ~stats:solver_stats
-                  ~max_repairs:config.solver_max_repairs ~hint:it.hint
-                  (prefix_cs @ [ negated ])
+              Solver.Inc.solve ~stats:solver_stats ~max_repairs:config.solver_max_repairs
+                ~parent:it.hint ~prefix:prefix_cs [ negated ]
             in
             match outcome with
             | Solver.Unsat ->
@@ -253,10 +245,6 @@ let explore ?(config = default_config) program =
               loop ()
             | Solver.Gave_up ->
               incr negations_gave_up;
-              if Sys.getenv_opt "DICE_DEBUG_SOLVER" <> None then
-                Format.eprintf "[solver gave up]@.%a@."
-                  (Format.pp_print_list ~pp_sep:Format.pp_print_cut Path.pp_constr)
-                  (prefix_cs @ [ negated ]);
               loop ()
             | Solver.Sat model ->
               incr negations_sat;

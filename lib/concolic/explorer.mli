@@ -19,14 +19,12 @@ type config = {
   max_runs : int;  (** total program executions, initial run included *)
   max_depth : int;  (** only the first [max_depth] branches are negated *)
   solver_max_repairs : int;
-  incremental : bool;
-      (** solve each negation incrementally from the parent run's
-          environment ({!Solver.Inc}) instead of from scratch; on by
-          default, off only for measurement *)
+      (** each negation is solved incrementally from the parent run's
+          environment ({!Solver.Inc}), with this repair budget *)
 }
 
 val default_config : config
-(** DFS, 512 runs, depth 128, 256 solver repairs, incremental. *)
+(** DFS, 512 runs, depth 128, 256 solver repairs. *)
 
 type run = {
   index : int;

@@ -1,47 +1,8 @@
 module Site = struct
   type t = { id : int; name : string }
 
-  (* The registry is process-global and seed explorations running on
-     worker domains intern sites at once; every access goes through
-     [lock]. *)
-  let lock = Mutex.create ()
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-  let next = ref 0
-
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-  let make name =
-    locked (fun () ->
-        let id = !next in
-        incr next;
-        let t = { id; name } in
-        (* keep the most recent site per name for [of_existing] *)
-        Hashtbl.replace registry name t;
-        t)
-
-  let intern name =
-    locked (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some t -> t
-        | None ->
-          let id = !next in
-          incr next;
-          let t = { id; name } in
-          Hashtbl.replace registry name t;
-          t)
-
-  let of_existing name =
-    locked (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some t -> t
-        | None -> raise Not_found)
-
   let id t = t.id
   let name t = t.name
-  let count () = locked (fun () -> !next)
-
   let pp ppf t = Format.fprintf ppf "%s#%d" t.name t.id
 end
 

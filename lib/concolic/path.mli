@@ -8,26 +8,13 @@
     branch (paper Figure 1). *)
 
 module Site : sig
-  type t = private { id : int; name : string }
-
-  val make : string -> t
-  (** Register a site. Each call returns a distinct site; call once per
-      static program location (at module initialization), not per
-      execution. *)
-
-  val intern : string -> t
-  (** Return the site registered under this name, creating it on first
-      use. The idiomatic way to name static branch locations. *)
-
-  val of_existing : string -> t
-  (** Return the site previously registered under this name.
-      @raise Not_found if none. *)
+  type t = { id : int; name : string }
+  (** A site as one exploration sees it: its name, and the id that
+      exploration's {!Engine.Space.site} gave it (first-seen order).
+      Ids mean nothing across explorations; names do. *)
 
   val id : t -> int
   val name : t -> string
-  val count : unit -> int
-  (** Total registered sites (for coverage denominators). *)
-
   val pp : Format.formatter -> t -> unit
 end
 

@@ -1,15 +1,10 @@
 type var = { id : int; name : string; width : int }
 
-(* Variable ids must stay unique when several exploration domains register
-   inputs concurrently, hence the atomic counter. *)
-let next_id = Atomic.make 0
-
 let check_width width =
   if width < 1 || width > 64 then invalid_arg "Sym.var: width must be in [1, 64]"
 
-let var ~name ~width =
+let var ~id ~name ~width =
   check_width width;
-  let id = Atomic.fetch_and_add next_id 1 in
   { id; name; width }
 
 type unop = Neg | Bnot | Lnot

@@ -9,11 +9,15 @@
     Comparison operators produce width-1 values (0 or 1). *)
 
 type var = private { id : int; name : string; width : int }
-(** A symbolic input. Ids are globally unique; names are for reporting and
-    for mapping solver models back to program inputs. *)
+(** A symbolic input. The id identifies it in environments and terms;
+    the name is for reporting and for mapping solver models back to
+    program inputs. *)
 
-val var : name:string -> width:int -> var
-(** Register a fresh variable. @raise Invalid_argument on bad width. *)
+val var : id:int -> name:string -> width:int -> var
+(** A variable with the given id. Ids must be distinct among the
+    variables one query mentions; {!Engine.Space.var} numbers an
+    exploration's inputs by position.
+    @raise Invalid_argument on bad width. *)
 
 type unop =
   | Neg   (** two's-complement negation *)

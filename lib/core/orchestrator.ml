@@ -234,14 +234,14 @@ let explore_seed (type a) t (module M : Speaker.S with type t = a) ~checkpoint ~
     end;
     match ex.mode with
     | Symbolize.Selective ->
-      let cr = Symbolize.croute ctx ~tag:s.tag ~prefix:s.prefix ~route:s.route in
+      let cr = Symbolize.croute ctx ~prefix:s.prefix ~route:s.route in
       let outcome = M.import_concolic ~ctx !clone ~peer:s.peer cr in
       run_outcome ctx outcome
     | Symbolize.Whole_message -> begin
       let observed =
         Msg.encode (Msg.Update { withdrawn = []; attrs = Route.to_attrs s.route; nlri = [ s.prefix ] })
       in
-      let cvals = Symbolize.message_bytes ctx ~tag:s.tag observed in
+      let cvals = Symbolize.message_bytes ctx observed in
       let depth = Concolic_parser.validate ctx cvals in
       let key = Concolic_parser.depth_to_string depth in
       Hashtbl.replace depth_tbl key

@@ -236,26 +236,6 @@ let breaker_state ep =
   | Open _ -> `Open
   | Half_open _ -> `Half_open
 
-(* The simulated network is single-threaded; one domain pumps it at a
-   time. The lock is re-entrant per domain so a probe issued from inside
-   a network event (a daemon episode firing mid-pump) nests instead of
-   deadlocking. *)
-let rpc_lock = Mutex.create ()
-let rpc_owner : int option Atomic.t = Atomic.make None
-
-let with_rpc_lock f =
-  let me = (Domain.self () :> int) in
-  match Atomic.get rpc_owner with
-  | Some owner when owner = me -> f ()
-  | Some _ | None ->
-    Mutex.lock rpc_lock;
-    Atomic.set rpc_owner (Some me);
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set rpc_owner None;
-        Mutex.unlock rpc_lock)
-      f
-
 (* Breaker bookkeeping, shared by every call path. A wire-delivered
    answer (verdicts OR a decline: the server is alive either way) closes
    the breaker and resets the timeout streak; a timeout extends the
@@ -314,9 +294,10 @@ let breaker_gate ep =
 let call_batch ep reqs =
   if reqs = [] then []
   else
-    with_rpc_lock @@ fun () ->
     let c = ep.ecl in
     let net = c.net in
+    (* one domain pumps a network at a time *)
+    Network.exclusively net @@ fun () ->
     let arr = Array.of_list reqs in
     let n = Array.length arr in
     let results = Array.make n Timeout in

@@ -27,11 +27,13 @@
     the attempt then times out and retries like a lost frame, rather
     than an exception escaping the event loop.
 
-    The simulated network is single-threaded, so calls serialize: a
-    global lock (re-entrant per domain) makes {!call}/{!call_batch} safe
-    to reach from worker domains, at the price of no cross-domain
-    parallelism for remote probes — parallelism on the wire comes from
-    the in-flight window instead. *)
+    The simulated network is single-threaded, so calls over one network
+    serialize: {!call}/{!call_batch} hold that network's lock
+    ({!Dice_sim.Network.exclusively}) while they pump it, which makes them
+    safe to reach from worker domains. Calls over one network get no
+    cross-domain parallelism, and parallelism on the wire comes from the
+    in-flight window instead; calls over different networks run at
+    once. *)
 
 open Dice_inet
 open Dice_bgp

@@ -10,9 +10,9 @@ let mode_to_string = function
   | Selective -> "selective"
   | Whole_message -> "whole-message"
 
-let croute ctx ~tag ~prefix ~route =
+let croute ctx ~prefix ~route =
   let base = Croute.of_route prefix route in
-  let input name width default = Engine.input ctx ~name:(tag ^ "." ^ name) ~width ~default in
+  let input name width default = Engine.input ctx ~name ~width ~default in
   let addr = input "addr" 32 (Int64.of_int (Prefix.network prefix)) in
   let len = input "len" 8 (Int64.of_int (Prefix.len prefix)) in
   (* well-formedness the wire format guarantees: these are seed
@@ -38,10 +38,10 @@ let croute ctx ~tag ~prefix ~route =
     { base with Croute.med = med }
   else base
 
-let message_bytes ctx ~tag bytes =
+let message_bytes ctx bytes =
   Array.init (Bytes.length bytes) (fun i ->
       Engine.input ctx
-        ~name:(Printf.sprintf "%s.b%d" tag i)
+        ~name:(Printf.sprintf "b%d" i)
         ~width:8
         ~default:(Int64.of_int (Char.code (Bytes.get bytes i))))
 

@@ -18,19 +18,18 @@ type mode =
 
 val mode_to_string : mode -> string
 
-val croute :
-  Engine.ctx -> tag:string -> prefix:Prefix.t -> route:Route.t -> Croute.t
+val croute : Engine.ctx -> prefix:Prefix.t -> route:Route.t -> Croute.t
 (** Selective symbolization of one observed announcement: the NLRI
-    address ([<tag>.addr], 32 bits) and length ([<tag>.len], 8 bits,
-    seed-constrained to [<= 32]), the ORIGIN code ([<tag>.origin],
-    constrained to [<= 2]), the origin AS ([<tag>.origin_as]) and — when
-    present — MED ([<tag>.med]). Defaults are the observed concrete
-    values, so run 0 retraces the observed execution. *)
+    address ([addr], 32 bits) and length ([len], 8 bits, seed-constrained
+    to [<= 32]), the ORIGIN code ([origin], constrained to [<= 2]), the
+    origin AS ([origin_as]) and — when present — MED ([med]). Inputs are
+    named by field: each observed announcement explores in its own
+    {!Engine.Space}. Defaults are the observed concrete values, so run 0
+    retraces the observed execution. *)
 
-val message_bytes :
-  Engine.ctx -> tag:string -> bytes -> Cval.t array
+val message_bytes : Engine.ctx -> bytes -> Cval.t array
 (** Whole-message symbolization: one 8-bit input per byte of the encoded
-    message ([<tag>.b<i>]), defaulting to the observed bytes. *)
+    message ([b<i>]), defaulting to the observed bytes. *)
 
 val concretize_bytes : Cval.t array -> bytes
 (** The concrete message the current run denotes. *)

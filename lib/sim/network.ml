@@ -33,6 +33,7 @@ type t = {
   mutable requeued : int;
   mutable crashes : int;
   mutable restarts : int;
+  lock : Mutex.t;
 }
 
 and handler = t -> self:node_id -> from:node_id -> bytes -> unit
@@ -67,7 +68,10 @@ let create () =
     requeued = 0;
     crashes = 0;
     restarts = 0;
+    lock = Mutex.create ();
   }
+
+let exclusively t f = Mutex.protect t.lock f
 
 let now t = t.clock
 

@@ -25,6 +25,12 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time, seconds. *)
 
+val exclusively : t -> (unit -> 'a) -> 'a
+(** [exclusively t f] runs [f] holding [t]'s lock. A network is
+    single-threaded: code that pumps it from more than one domain takes
+    the lock around each pump. The lock is not re-entrant, so [f] must not
+    call [exclusively t] again. *)
+
 val add_node : t -> name:string -> handler:handler -> node_id
 (** Register a node. Ids are dense, starting at 0. *)
 

@@ -27,7 +27,7 @@ let recording_ctx () =
 
 let test_symbolize_defaults () =
   let _, ctx = recording_ctx () in
-  let cr = Symbolize.croute ctx ~tag:"s" ~prefix:(p "203.0.113.0/24") ~route:base_route in
+  let cr = Symbolize.croute ctx ~prefix:(p "203.0.113.0/24") ~route:base_route in
   Alcotest.(check string) "prefix preserved" "203.0.113.0/24"
     (Prefix.to_string (Croute.prefix_of cr));
   Alcotest.(check bool) "addr symbolic" true (Cval.is_symbolic cr.Croute.net_addr);
@@ -39,7 +39,7 @@ let test_symbolize_defaults () =
 
 let test_symbolize_seed_constraints () =
   let _, ctx = recording_ctx () in
-  ignore (Symbolize.croute ctx ~tag:"s2" ~prefix:(p "10.0.0.0/8") ~route:base_route);
+  ignore (Symbolize.croute ctx ~prefix:(p "10.0.0.0/8") ~route:base_route);
   (* len <= 32 and origin <= 2 *)
   Alcotest.(check int) "two seed constraints" 2
     (List.length (Engine.seed_constraints ctx))
@@ -47,30 +47,30 @@ let test_symbolize_seed_constraints () =
 let test_symbolize_no_med () =
   let route = { base_route with Route.med = None } in
   let _, ctx = recording_ctx () in
-  let cr = Symbolize.croute ctx ~tag:"s3" ~prefix:(p "10.0.0.0/8") ~route in
+  let cr = Symbolize.croute ctx ~prefix:(p "10.0.0.0/8") ~route in
   Alcotest.(check bool) "med stays concrete" false (Cval.is_symbolic cr.Croute.med);
   Alcotest.(check bool) "has_med false" false cr.Croute.has_med
 
 let test_symbolize_overrides () =
   let space = Engine.Space.create () in
   let ctx0 = Engine.create ~space ~overrides:(Hashtbl.create 0) () in
-  ignore (Symbolize.croute ctx0 ~tag:"s4" ~prefix:(p "10.0.0.0/8") ~route:base_route);
+  ignore (Symbolize.croute ctx0 ~prefix:(p "10.0.0.0/8") ~route:base_route);
   let addr_var =
-    match Engine.Space.find space "s4.addr" with
+    match Engine.Space.find space "addr" with
     | Some v -> v
     | None -> Alcotest.fail "addr input not registered"
   in
   let overrides : Sym.env = Hashtbl.create 4 in
   Hashtbl.replace overrides addr_var.Sym.id (Int64.of_int (Prefix.network (p "198.51.0.0/16")));
   let ctx = Engine.create ~space ~overrides () in
-  let cr = Symbolize.croute ctx ~tag:"s4" ~prefix:(p "10.0.0.0/8") ~route:base_route in
+  let cr = Symbolize.croute ctx ~prefix:(p "10.0.0.0/8") ~route:base_route in
   Alcotest.(check string) "override applied (len still /8)" "198.0.0.0/8"
     (Prefix.to_string (Croute.prefix_of cr))
 
 let test_symbolize_message_bytes () =
   let _, ctx = recording_ctx () in
   let observed = Msg.encode Msg.Keepalive in
-  let cvals = Symbolize.message_bytes ctx ~tag:"m" observed in
+  let cvals = Symbolize.message_bytes ctx observed in
   Alcotest.(check int) "one input per byte" (Bytes.length observed) (Array.length cvals);
   Alcotest.(check bytes) "concretize is identity" observed (Symbolize.concretize_bytes cvals);
   Alcotest.(check bool) "all symbolic" true
@@ -80,7 +80,7 @@ let test_symbolize_message_bytes () =
 
 let validate bytes =
   let _, ctx = recording_ctx () in
-  let cvals = Symbolize.message_bytes ctx ~tag:"v" bytes in
+  let cvals = Symbolize.message_bytes ctx bytes in
   let depth = Concolic_parser.validate ctx cvals in
   (depth, Path.length (Engine.path ctx))
 
@@ -525,6 +525,35 @@ let test_orchestrator_chained_episodes () =
     (second = episode (Orchestrator.create ~cfg live));
   Alcotest.(check bool) "and sees the live node's new route" true (fst second <> fst first)
 
+(* A report depends only on the config and the table, not on what the
+   process explored before: the 50th parse-and-explore of the partially
+   correct testbed prints the same JSON report as the first (timings
+   zeroed). *)
+let test_report_independent_of_history () =
+  let report_json () =
+    let topo = testbed ~prefixes:200 Dice_topology.Threerouter.Partially_correct in
+    let dice =
+      Orchestrator.create ~cfg:(explore_cfg ~runs:32 ())
+        (Speakers.bird (Dice_topology.Threerouter.provider_router topo))
+    in
+    observe_customer dice;
+    let r = Orchestrator.explore dice in
+    let untimed (sr : Orchestrator.seed_report) =
+      { sr with
+        Orchestrator.explorer = { sr.Orchestrator.explorer with Explorer.elapsed_s = 0.0 } }
+    in
+    Dice_util.Json.to_string ~indent:true
+      (Report.report_json
+         { r with
+           Orchestrator.seed_reports = List.map untimed r.Orchestrator.seed_reports;
+           wall_seconds = 0.0;
+           checkpoint_seconds = 0.0;
+         })
+  in
+  let first = report_json () in
+  for _ = 2 to 49 do ignore (report_json ()) done;
+  Alcotest.(check string) "50th report equals the 1st" first (report_json ())
+
 let suite =
   [ ("symbolize defaults", `Quick, test_symbolize_defaults);
     ("symbolize seed constraints", `Quick, test_symbolize_seed_constraints);
@@ -555,5 +584,6 @@ let suite =
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);
     ("whole-message mode", `Slow, test_orchestrator_whole_message_mode);
     ("orchestrator jobs=1 and jobs=2 agree", `Slow, test_orchestrator_jobs_deterministic);
-    ("chained episodes explore as fresh ones", `Slow, test_orchestrator_chained_episodes)
+    ("chained episodes explore as fresh ones", `Slow, test_orchestrator_chained_episodes);
+    ("report independent of process history", `Slow, test_report_independent_of_history)
   ]

@@ -3,18 +3,19 @@ open Dice_concolic
 
 (* ---- Path / Site ---- *)
 
+(* An exploration's space interns sites by name, numbering them in
+   first-seen order; another space numbers its own sites from 0 again. *)
 let test_site_intern () =
-  let a = Path.Site.intern "t:site-a" in
-  let b = Path.Site.intern "t:site-a" in
-  Alcotest.(check int) "same id" (Path.Site.id a) (Path.Site.id b);
-  let c = Path.Site.intern "t:site-b" in
-  Alcotest.(check bool) "distinct" true (Path.Site.id a <> Path.Site.id c)
-
-let test_site_of_existing () =
-  let a = Path.Site.intern "t:site-x" in
-  Alcotest.(check int) "lookup" (Path.Site.id a) (Path.Site.id (Path.Site.of_existing "t:site-x"));
-  Alcotest.check_raises "missing" Not_found (fun () ->
-      ignore (Path.Site.of_existing "t:definitely-not-registered"))
+  let space = Engine.Space.create () in
+  let a = Engine.Space.site space "t:site-a" in
+  let b = Engine.Space.site space "t:site-a" in
+  Alcotest.(check bool) "same site" true (a == b);
+  let c = Engine.Space.site space "t:site-b" in
+  Alcotest.(check (list int)) "first-seen ids" [ 0; 1 ] [ Path.Site.id a; Path.Site.id c ];
+  Alcotest.(check string) "named" "t:site-b" (Path.Site.name c);
+  let other = Engine.Space.create () in
+  Alcotest.(check int) "another space starts over" 0
+    (Path.Site.id (Engine.Space.site other "t:site-b"))
 
 let test_negate () =
   let c = { Path.expr = Sym.const ~width:1 1L; expected_nonzero = true } in
@@ -22,7 +23,7 @@ let test_negate () =
   Alcotest.(check bool) "double negation" true (Path.negate (Path.negate c)).Path.expected_nonzero
 
 let test_constr_holds () =
-  let v = Sym.var ~name:"ph" ~width:8 in
+  let v = Sym.var ~id:0 ~name:"ph" ~width:8 in
   let env : Sym.env = Hashtbl.create 4 in
   Hashtbl.replace env v.Sym.id 7L;
   let c = { Path.expr = Sym.Binop (Sym.Eq, Sym.of_var v, Sym.const ~width:8 7L);
@@ -32,7 +33,8 @@ let test_constr_holds () =
   Alcotest.(check bool) "fails" false (Path.constr_holds env c)
 
 let test_signature () =
-  let s1 = Path.Site.intern "t:sig1" and s2 = Path.Site.intern "t:sig2" in
+  let space = Engine.Space.create () in
+  let s1 = Engine.Space.site space "t:sig1" and s2 = Engine.Space.site space "t:sig2" in
   let e site dir = { Path.site; constr = { Path.expr = Sym.const ~width:1 1L; expected_nonzero = dir } } in
   let a = Path.signature [ e s1 true; e s2 false ] in
   let b = Path.signature [ e s1 true; e s2 false ] in
@@ -46,12 +48,13 @@ let test_signature () =
 
 let test_coverage () =
   let cov = Coverage.create () in
-  let s = Path.Site.intern "t:cov" in
+  let s = Engine.Space.site (Engine.Space.create ()) "t:cov" in
   Alcotest.(check bool) "new" true (Coverage.record cov s true);
   Alcotest.(check bool) "repeat" false (Coverage.record cov s true);
-  Alcotest.(check bool) "half covered" false (Coverage.fully_covered cov s);
+  Alcotest.(check bool) "other direction open" false (Coverage.covered cov s false);
   ignore (Coverage.record cov s false);
-  Alcotest.(check bool) "fully covered" true (Coverage.fully_covered cov s);
+  Alcotest.(check bool) "both directions" true (Coverage.covered cov s false);
+  Alcotest.(check int) "hits" 2 (Coverage.hits_id cov (Path.Site.id s, true));
   Alcotest.(check int) "directions" 2 (Coverage.direction_count cov);
   Alcotest.(check int) "sites" 1 (Coverage.site_count cov)
 
@@ -136,8 +139,9 @@ let test_env_reflects_inputs () =
   Alcotest.(check (option int64)) "env" (Some 9L) (Hashtbl.find_opt (Engine.env ctx) var.Sym.id)
 
 (* The live path runs uninstrumented: a feed under the default null
-   context decides the filter's [If] without interning its branch site,
-   and only an exploration run — recording, over a clone — registers it. *)
+   context decides the filter's [If] without recording anything, and
+   only an exploration run — recording, over a clone — interns its
+   branch site, in that exploration's own space. *)
 let test_null_feed_interns_no_site () =
   let open Dice_inet in
   let open Dice_bgp in
@@ -157,11 +161,6 @@ let test_null_feed_interns_no_site () =
     | Some { Filter.body = Filter.If { site; _ } :: _; _ } -> site ^ ":c"
     | _ -> Alcotest.fail "expected the filter to open with an If"
   in
-  let registered () =
-    match Path.Site.of_existing site with
-    | _ -> true
-    | exception Not_found -> false
-  in
   let sp = Speaker.create (module Speakers.Bird) (Speaker.Config cfg) in
   Speaker.establish sp ~peer:provider;
   let route =
@@ -172,18 +171,22 @@ let test_null_feed_interns_no_site () =
   ignore (Speaker.feed sp ~peer:provider msg);
   Alcotest.(check bool) "the filter ran and accepted" true
     (Speaker.best_route sp prefix <> None);
-  Alcotest.(check bool) "the live feed interned no site" false (registered ());
+  Alcotest.(check bool) "the null context records nothing" true
+    (Engine.path Engine.null = [] && Engine.seed_constraints Engine.null = []);
   let report =
     Explorer.explore
       ~config:{ Explorer.default_config with Explorer.max_runs = 1 }
       (fun ctx -> ignore (Speaker.feed ~ctx (Speaker.clone sp) ~peer:provider msg))
   in
   Alcotest.(check int) "one run" 1 report.Explorer.executions;
-  Alcotest.(check bool) "the explored run interned the site" true (registered ())
+  (* the path is short, so the condition did not hold *)
+  Alcotest.(check bool) "the explored run covered the site in its space" true
+    (Coverage.covered report.Explorer.coverage
+       (Engine.Space.site report.Explorer.space site)
+       false)
 
 let suite =
   [ ("site intern", `Quick, test_site_intern);
-    ("site of_existing", `Quick, test_site_of_existing);
     ("negate", `Quick, test_negate);
     ("constr_holds", `Quick, test_constr_holds);
     ("path signature", `Quick, test_signature);

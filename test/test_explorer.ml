@@ -187,7 +187,8 @@ let test_attempt_key_structural () =
      sequence: distinct requests get distinct keys, while flipping entry 0
      of [t; t] and of [t; f] — which genuinely request the same new path
      [f] — share one *)
-  let site name = Path.Site.intern name in
+  let space = Engine.Space.create () in
+  let site name = Engine.Space.site space name in
   let entry name dir =
     { Path.site = site name;
       constr =
@@ -231,30 +232,6 @@ let test_pqueue_order () =
     (drain []);
   Alcotest.(check bool) "empty after drain" true (Pqueue.is_empty q)
 
-let test_incremental_matches_scratch () =
-  let program ctx =
-    let x = Engine.input ctx ~name:"ipr" ~width:32 ~default:0L in
-    if Engine.branchf ctx "ipr:1" (Cval.ugt x (Cval.of_int ~width:32 100)) then
-      if Engine.branchf ctx "ipr:2" (Cval.ult x (Cval.of_int ~width:32 200)) then
-        ignore (Engine.branchf ctx "ipr:3" (Cval.eq x (Cval.of_int ~width:32 150)))
-  in
-  let run incremental =
-    Explorer.explore
-      ~config:{ Explorer.default_config with Explorer.max_runs = 64; incremental }
-      program
-  in
-  let inc = run true and scratch = run false in
-  Alcotest.(check bool) "same coverage" true
-    (Explorer.coverage_ratio inc = Explorer.coverage_ratio scratch);
-  Alcotest.(check int) "same distinct paths" scratch.Explorer.distinct_paths
-    inc.Explorer.distinct_paths;
-  Alcotest.(check bool) "prefix reuses recorded" true
-    (inc.Explorer.solver_stats.Solver.prefix_reuses > 0);
-  Alcotest.(check bool) "scan skips recorded" true
-    (inc.Explorer.solver_stats.Solver.first_violated_skips > 0);
-  Alcotest.(check int) "scratch never reuses a prefix" 0
-    scratch.Explorer.solver_stats.Solver.prefix_reuses
-
 let test_solver_stats_populated () =
   let report = explore (fun ctx ->
       let x = Engine.input ctx ~name:"ss" ~width:8 ~default:0L in
@@ -279,6 +256,5 @@ let suite =
     ("generational deterministic", `Quick, test_generational_deterministic);
     ("attempt key is structural", `Quick, test_attempt_key_structural);
     ("pqueue pop order", `Quick, test_pqueue_order);
-    ("incremental matches from-scratch", `Quick, test_incremental_matches_scratch);
     ("solver stats populated", `Quick, test_solver_stats_populated)
   ]

@@ -172,6 +172,41 @@ let test_parse_full_config () =
     | _ -> Alcotest.fail "expected none policy")
   | _ -> Alcotest.fail "expected one peer"
 
+(* A filter's [if] sites, in statement order (an [If] before its arms). *)
+let rec if_sites = function
+  | [] -> []
+  | Filter.If { site; then_; else_; _ } :: rest ->
+    (site :: if_sites then_) @ if_sites else_ @ if_sites rest
+  | _ :: rest -> if_sites rest
+
+(* Site names follow from the filter alone: one process parsing the same
+   source twice gets equal filters, numbered in construction order (an
+   [if]'s arms are built before it). *)
+let test_parse_twice_equal () =
+  let src =
+    {|
+    router id 10.0.0.1;
+    local as 64510;
+    filter twice {
+      if net ~ [ 10.0.0.0/8+ ] then { if bgp_path.len > 3 then reject; accept; }
+      else { if bgp_med > 5 then reject; }
+      if source_as = 1 then accept;
+      reject;
+    }
+    |}
+  in
+  let first = Config_parser.parse src in
+  let again = Config_parser.parse src in
+  Alcotest.(check bool) "equal filters" true
+    (first.Config_types.filters = again.Config_types.filters);
+  match again.Config_types.filters with
+  | [ f ] ->
+    Alcotest.(check (list string))
+      "construction-order names"
+      (List.map (Printf.sprintf "filter:twice:if%d") [ 2; 0; 1; 3 ])
+      (if_sites f.Filter.body)
+  | _ -> Alcotest.fail "expected one filter"
+
 let test_parse_unknown_filter_rejected () =
   match
     Config_parser.parse
@@ -328,6 +363,7 @@ let suite =
     ("parse errors", `Quick, test_parse_errors);
     ("parse error line numbers", `Quick, test_parse_error_line_numbers);
     ("parse full config", `Quick, test_parse_full_config);
+    ("parse twice yields equal filters", `Quick, test_parse_twice_equal);
     ("unknown filter rejected", `Quick, test_parse_unknown_filter_rejected);
     ("keepalive defaults", `Quick, test_keepalive_defaults_to_third);
     ("interp accept/reject", `Quick, test_interp_accept_reject);

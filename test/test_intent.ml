@@ -345,6 +345,36 @@ let prop_cross_dialect_agreement =
 
 (* Malformed dialect text fails through Parse_error at the offending
    line, never through a constructor's Invalid_argument *)
+(* Site names follow from the filter alone: building the same filters
+   twice in one process — a dialect parsing the same rendered text, or
+   the intent compiler compiling the same intent — gives equal filters,
+   named in construction order (these flat chains build their last [if]
+   first). *)
+let test_build_twice_equal () =
+  let i = sample_intent () in
+  let filters (cfg : Config_types.t) = cfg.Config_types.filters in
+  let sites (cfg : Config_types.t) =
+    match Config_types.find_filter cfg "customer_in" with
+    | Some f ->
+      List.filter_map
+        (function Filter.If { site; _ } -> Some site | _ -> None)
+        f.Filter.body
+    | None -> Alcotest.fail "no customer_in filter"
+  in
+  List.iter
+    (fun (what, build) ->
+      let first = build () in
+      let again = build () in
+      Alcotest.(check bool) (what ^ ": equal filters") true (filters first = filters again);
+      Alcotest.(check (list string))
+        (what ^ ": construction-order names")
+        (List.map (Printf.sprintf "filter:customer_in:if%d") [ 2; 1; 0 ])
+        (sites again))
+    [ ("quagga", fun () -> Dice_bgp2.Quagga_dialect.(parse (render i)));
+      ("xorp", fun () -> Dice_bgp3.Xorp_dialect.(parse (render i)));
+      ("intent", fun () -> Intent.compile ~unstated:Intent.Deny i)
+    ]
+
 let test_dialect_parse_errors () =
   let fails_at (module D : Dialect.S) line src =
     match D.parse src with
@@ -402,6 +432,7 @@ let suite =
   [
     Alcotest.test_case "intent text round trip" `Quick test_text_roundtrip;
     Alcotest.test_case "dialect parse errors" `Quick test_dialect_parse_errors;
+    Alcotest.test_case "building twice yields equal filters" `Quick test_build_twice_equal;
     Alcotest.test_case "smart-constructor validation" `Quick test_validation;
     Alcotest.test_case "Config_types.make rejects duplicates" `Quick test_config_types_duplicates;
     Alcotest.test_case "realized structure per dialect" `Quick test_realize_structure;

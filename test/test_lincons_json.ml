@@ -2,7 +2,7 @@
 open Dice_concolic
 module Json = Dice_util.Json
 
-let v32 name = Sym.var ~name ~width:32
+let v32 name = Sym.var ~id:(Hashtbl.hash name) ~name ~width:32
 let c32 v = Sym.const ~width:32 v
 
 let env_of bindings =
@@ -135,7 +135,7 @@ let prop_solver_handles_linear_chains =
   QCheck.Test.make ~name:"solver solves doubled-variable equalities" ~count:100
     QCheck.(int_bound 10000)
     (fun k ->
-      let x = Sym.var ~name:(Printf.sprintf "dsx%d" k) ~width:32 in
+      let x = Sym.var ~id:0 ~name:(Printf.sprintf "dsx%d" k) ~width:32 in
       let expr =
         Sym.Binop
           (Sym.Eq,

@@ -135,6 +135,48 @@ let test_probe_all_mixed_transports () =
         expected (render outcome))
     (List.combine answers interleaved)
 
+(* Each simulated network has its own RPC lock, so two domains probing
+   over two networks run at once. Both start together and pump their own
+   network through 20 batches; every batch must complete with the
+   answers a local probe gives. *)
+let test_two_networks_two_domains () =
+  let msgs = List.filter (fun m -> m <> Msg.Keepalive) workload in
+  let expected =
+    let la = local_agent (upstream ()) in
+    List.map (fun m -> render (Distributed.probe la ~from:provider_side m)) msgs
+  in
+  let reqs = List.map (Probe_wire.canonical_request ~from:provider_side) msgs in
+  let endpoints =
+    List.init 2 (fun _ ->
+        let _, _, _, cl, srv = remote_setup (upstream ()) in
+        Probe_rpc.endpoint cl ~server:(Probe_rpc.server_node srv))
+  in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.map
+      (fun ep ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 2 do Domain.cpu_relax () done;
+            List.init 20 (fun _ -> Probe_rpc.call_batch ep reqs)))
+      endpoints
+  in
+  List.iteri
+    (fun d dom ->
+      List.iteri
+        (fun round answers ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "domain %d, batch %d" d round)
+            expected
+            (List.map
+               (function
+                 | Probe_rpc.Verdicts vs -> render (Distributed.Verdicts vs)
+                 | Probe_rpc.Declined r -> render (Distributed.Declined r)
+                 | Probe_rpc.Timeout -> render Distributed.Timeout)
+               answers))
+        (Domain.join dom))
+    domains
+
 let test_disconnected_times_out () =
   let config = { Probe_rpc.default_config with Probe_rpc.timeout = 0.5; retries = 2 } in
   let ra, _, net, cl, srv = remote_setup ~config (upstream ()) in
@@ -426,6 +468,7 @@ let test_wire_tap_only_probe_frames_cross () =
 let suite =
   [ ("local and remote transports answer identically", `Quick, test_local_remote_equivalence);
     ("probe_all over mixed transports keeps order", `Quick, test_probe_all_mixed_transports);
+    ("two domains probe over two networks at once", `Quick, test_two_networks_two_domains);
     ("cut link degrades to a timeout after retries", `Quick, test_disconnected_times_out);
     ("checker survives a partitioned agent", `Quick, test_checker_survives_partition);
     ("slow link recovered by retry backoff", `Quick, test_slow_link_backoff_recovers);

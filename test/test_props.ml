@@ -232,7 +232,7 @@ let prop_filter_concolic_equiv =
       let ctx = Engine.create ~space ~overrides:(Hashtbl.create 0) () in
       let symbolized =
         Filter_interp.run ctx ~source_as:64501 ~local_as:64510 filter_under_test
-          (Dice_core.Symbolize.croute ctx ~tag:"pf" ~prefix ~route)
+          (Dice_core.Symbolize.croute ctx ~prefix ~route)
       in
       let verdict = function
         | Filter_interp.Accepted cr ->

@@ -376,7 +376,7 @@ let test_import_concolic_records_constraints () =
     Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~next_hop:customer ()
   in
   let cr =
-    Dice_core.Symbolize.croute ctx ~tag:"t" ~prefix:(p "203.0.113.0/24") ~route
+    Dice_core.Symbolize.croute ctx ~prefix:(p "203.0.113.0/24") ~route
   in
   let outcome = Router.import_concolic ~ctx r ~peer:customer cr in
   Alcotest.(check bool) "accepted" true outcome.Import.accepted;

@@ -27,8 +27,10 @@ let expect_no_model ?hint cs =
   | Solver.Unsat | Solver.Gave_up -> ()
 
 let c w v = Sym.const ~width:w v
-let v32 name = Sym.var ~name ~width:32
-let v8 name = Sym.var ~name ~width:8
+(* each test names its variables apart, and the names' hashes give them
+   distinct ids *)
+let v32 name = Sym.var ~id:(Hashtbl.hash name) ~name ~width:32
+let v8 name = Sym.var ~id:(Hashtbl.hash name) ~name ~width:8
 
 (* ---- Interval ---- *)
 
@@ -406,7 +408,7 @@ let prop_satisfiable_never_unsat =
     QCheck.(triple (int_bound 0xFFFF) (int_bound 0xFFFF) (list_of_size Gen.(1 -- 4) (int_bound 7)))
     (fun (m, k, shapes) ->
       let m64 = Int64.of_int m and k64 = Int64.of_int k in
-      let x = Sym.var ~name:(Printf.sprintf "pn%d_%d" m k) ~width:16 in
+      let x = Sym.var ~id:0 ~name:(Printf.sprintf "pn%d_%d" m k) ~width:16 in
       let xe = Sym.of_var x in
       let shape_constr s =
         match s with
@@ -455,7 +457,7 @@ let prop_inc_agrees_with_scratch =
         (pair (int_bound 0xFFFF) (int_bound 3)))
     (fun (v, prefix_spec, (k, neg_shape)) ->
       let v64 = Int64.of_int v in
-      let x = Sym.var ~name:(Printf.sprintf "pi%d_%d" v k) ~width:16 in
+      let x = Sym.var ~id:0 ~name:(Printf.sprintf "pi%d_%d" v k) ~width:16 in
       let xe = Sym.of_var x in
       let record expr =
         (* direction = the branch the concrete parent value takes *)
@@ -501,7 +503,7 @@ let prop_solver_sound =
   QCheck.Test.make ~name:"solver models are sound" ~count:300
     QCheck.(pair (int_bound 0xFFFF) (int_bound 3))
     (fun (k, shape) ->
-      let x = Sym.var ~name:(Printf.sprintf "ps%d_%d" k shape) ~width:16 in
+      let x = Sym.var ~id:0 ~name:(Printf.sprintf "ps%d_%d" k shape) ~width:16 in
       let kc = c 16 (Int64.of_int k) in
       let expr =
         match shape with

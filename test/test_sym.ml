@@ -15,16 +15,21 @@ let test_const_wraps () =
     Alcotest.(check int) "width" 8 width
   | _ -> Alcotest.fail "expected Const"
 
+(* an exploration's space numbers its inputs by position *)
 let test_var_ids_unique () =
-  let a = Sym.var ~name:"a" ~width:8 and b = Sym.var ~name:"b" ~width:8 in
-  Alcotest.(check bool) "distinct ids" true (a.Sym.id <> b.Sym.id)
+  let space = Engine.Space.create () in
+  let a = Engine.Space.var space ~name:"a" ~width:8 in
+  let b = Engine.Space.var space ~name:"b" ~width:8 in
+  Alcotest.(check (pair int int)) "positional ids" (0, 1) (a.Sym.id, b.Sym.id);
+  let again = Engine.Space.var (Engine.Space.create ()) ~name:"b" ~width:8 in
+  Alcotest.(check int) "another space starts over" 0 again.Sym.id
 
 let test_bad_width () =
   Alcotest.check_raises "width 0" (Invalid_argument "Sym.var: width must be in [1, 64]")
-    (fun () -> ignore (Sym.var ~name:"x" ~width:0))
+    (fun () -> ignore (Sym.var ~id:0 ~name:"x" ~width:0))
 
 let test_eval_arith () =
-  let v = Sym.var ~name:"x" ~width:32 in
+  let v = Sym.var ~id:0 ~name:"x" ~width:32 in
   let e = env_of [ (v, 10L) ] in
   let check name expect expr = Alcotest.(check int64) name expect (Sym.eval e expr) in
   check "add" 15L (Sym.Binop (Sym.Add, Sym.of_var v, c32 5L));
@@ -69,11 +74,11 @@ let test_eval_lnot () =
   Alcotest.(check int64) "lnot nonzero" 0L (Sym.eval e (Sym.Unop (Sym.Lnot, c32 7L)))
 
 let test_unbound_var_is_zero () =
-  let v = Sym.var ~name:"u" ~width:16 in
+  let v = Sym.var ~id:0 ~name:"u" ~width:16 in
   Alcotest.(check int64) "zero" 0L (Sym.eval (Hashtbl.create 0) (Sym.of_var v))
 
 let test_width_rules () =
-  let v8 = Sym.var ~name:"w8" ~width:8 and v32 = Sym.var ~name:"w32" ~width:32 in
+  let v8 = Sym.var ~id:0 ~name:"w8" ~width:8 and v32 = Sym.var ~id:1 ~name:"w32" ~width:32 in
   Alcotest.(check int) "cmp width 1" 1
     (Sym.width (Sym.Binop (Sym.Eq, Sym.of_var v8, Sym.of_var v32)));
   Alcotest.(check int) "arith width max" 32
@@ -81,7 +86,7 @@ let test_width_rules () =
   Alcotest.(check int) "lnot width 1" 1 (Sym.width (Sym.Unop (Sym.Lnot, Sym.of_var v32)))
 
 let test_vars_dedup_order () =
-  let a = Sym.var ~name:"va" ~width:8 and b = Sym.var ~name:"vb" ~width:8 in
+  let a = Sym.var ~id:0 ~name:"va" ~width:8 and b = Sym.var ~id:1 ~name:"vb" ~width:8 in
   let expr =
     Sym.Binop (Sym.Add, Sym.Binop (Sym.Add, Sym.of_var b, Sym.of_var a), Sym.of_var b)
   in
@@ -89,7 +94,7 @@ let test_vars_dedup_order () =
     (List.map (fun v -> v.Sym.name) (Sym.vars expr))
 
 let test_subst_eval_except () =
-  let a = Sym.var ~name:"sa" ~width:32 and b = Sym.var ~name:"sb" ~width:32 in
+  let a = Sym.var ~id:0 ~name:"sa" ~width:32 and b = Sym.var ~id:1 ~name:"sb" ~width:32 in
   let e = env_of [ (a, 3L); (b, 4L) ] in
   let expr = Sym.Binop (Sym.Add, Sym.of_var a, Sym.of_var b) in
   match Sym.subst_eval_except e ~keep:a.Sym.id expr with
@@ -99,7 +104,7 @@ let test_subst_eval_except () =
   | other -> Alcotest.failf "unexpected shape: %s" (Sym.to_string other)
 
 let test_subst_folds_constants () =
-  let a = Sym.var ~name:"fa" ~width:32 and b = Sym.var ~name:"fb" ~width:32 in
+  let a = Sym.var ~id:0 ~name:"fa" ~width:32 and b = Sym.var ~id:1 ~name:"fb" ~width:32 in
   let e = env_of [ (b, 4L) ] in
   let expr =
     Sym.Binop (Sym.Add, Sym.of_var a, Sym.Binop (Sym.Mul, Sym.of_var b, c32 10L))
@@ -110,7 +115,7 @@ let test_subst_folds_constants () =
   | other -> Alcotest.failf "unexpected shape: %s" (Sym.to_string other)
 
 let test_equal_compare () =
-  let a = Sym.var ~name:"ea" ~width:8 in
+  let a = Sym.var ~id:0 ~name:"ea" ~width:8 in
   let e1 = Sym.Binop (Sym.Add, Sym.of_var a, Sym.const ~width:8 1L) in
   let e2 = Sym.Binop (Sym.Add, Sym.of_var a, Sym.const ~width:8 1L) in
   Alcotest.(check bool) "structural equal" true (Sym.equal e1 e2);
@@ -119,7 +124,7 @@ let test_equal_compare () =
     (Sym.equal e1 (Sym.Binop (Sym.Add, Sym.of_var a, Sym.const ~width:8 2L)))
 
 let test_to_string () =
-  let a = Sym.var ~name:"ts" ~width:8 in
+  let a = Sym.var ~id:0 ~name:"ts" ~width:8 in
   Alcotest.(check string) "render" "(ts + 1)"
     (Sym.to_string (Sym.Binop (Sym.Add, Sym.of_var a, Sym.const ~width:8 1L)))
 
@@ -132,7 +137,7 @@ let test_cval_concrete_fast_path () =
   Alcotest.(check bool) "no shadow" false (Cval.is_symbolic r)
 
 let test_cval_symbolic_propagates () =
-  let v = Sym.var ~name:"cv" ~width:32 in
+  let v = Sym.var ~id:0 ~name:"cv" ~width:32 in
   let a = Cval.symbolic v 5L and b = Cval.of_int ~width:32 7 in
   let r = Cval.add a b in
   Alcotest.(check int) "concrete part" 12 (Cval.to_int r);
@@ -141,7 +146,7 @@ let test_cval_symbolic_propagates () =
 let test_cval_shadow_consistent () =
   (* the symbolic shadow, evaluated under the inputs' concrete values,
      must equal the eagerly computed concrete part *)
-  let v = Sym.var ~name:"cc" ~width:32 in
+  let v = Sym.var ~id:0 ~name:"cc" ~width:32 in
   let e = env_of [ (v, 5L) ] in
   let a = Cval.symbolic v 5L in
   let exprs =
